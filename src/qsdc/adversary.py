@@ -1,4 +1,4 @@
-"""Trent's behavior strategies and attack-effectiveness metrics.
+"""Trent's strategies, his steps in a round, and attack metrics.
 
 Trent is the authenticator who supplies the GHZ triples.  He can either
 play honestly or run the insider attack: rotate Alice's qubit with a
@@ -57,12 +57,42 @@ class AttackRecord:
             raise ValueError("guessed_bit inconsistent with the equal-outcomes rule")
 
 
-def _measure_and_guess(state: StateVector, rng) -> tuple[AttackRecord, StateVector]:
-    state = qsim.apply_gate(state, Gate.HADAMARD, QUBIT_A)
-    z_a, state = qsim.measure_z(state, QUBIT_A, rng)
-    z_t, state = qsim.measure_z(state, QUBIT_T, rng)
-    guess = 0 if z_a == z_t else 1
-    return AttackRecord(z_outcome_a=z_a, z_outcome_t=z_t, guessed_bit=guess), state
+# The insider attack as schedule steps (see qsim): a Hadamard on Alice's
+# qubit, then Z reads of her qubit and of Trent's own.
+ATTACK_STEPS = (
+    ("gate", Gate.HADAMARD, QUBIT_A),
+    ("measure", "z_a", "z", (QUBIT_A,)),
+    ("measure", "z_t", "z", (QUBIT_T,)),
+)
+
+# Trent's honest announcement in each protocol.
+P1_ANNOUNCEMENT = ("measure", "trent", "x", (QUBIT_T,))
+P2_ANNOUNCEMENT = ("measure", "trent", "bell", (QUBIT_A, QUBIT_T))
+
+
+def trent_steps(trent: TrentStrategy, honest_announcement, default_policy: AnnouncementPolicy):
+    """Trent's part of a round: his attack steps (none when honest) and
+    his announcement step.
+
+    An attacking Trent announces per his policy, or `default_policy` when
+    he names none: the honest measurement itself (genuine) or a uniformly
+    random outcome of its basis (uniform).
+    """
+    if trent.kind is StrategyKind.HONEST:
+        return (), honest_announcement
+    if (trent.announcement_policy or default_policy) is AnnouncementPolicy.UNIFORM_RANDOM:
+        _, role, basis, _ = honest_announcement
+        return ATTACK_STEPS, ("random", role, qsim.OUTCOMES[basis])
+    return ATTACK_STEPS, honest_announcement
+
+
+def attack_record(outcomes: dict) -> AttackRecord | None:
+    """Trent's Z outcomes in a round's outcomes by role, and the bit he
+    infers (0 when they agree); None when he did not attack."""
+    if "z_a" not in outcomes:
+        return None
+    z_a, z_t = outcomes["z_a"], outcomes["z_t"]
+    return AttackRecord(z_outcome_a=z_a, z_outcome_t=z_t, guessed_bit=0 if z_a == z_t else 1)
 
 
 def attack_p1(state: StateVector, rng) -> tuple[AttackRecord, StateVector]:
@@ -72,7 +102,8 @@ def attack_p1(state: StateVector, rng) -> tuple[AttackRecord, StateVector]:
     qubit is forwarded to Bob as-is (no re-preparation) and Trent keeps
     his own collapsed qubit for the later public announcement.
     """
-    return _measure_and_guess(state, rng)
+    outcomes, state = qsim.sample_schedule(state, ATTACK_STEPS, rng)
+    return attack_record(outcomes), state
 
 
 def attack_p2(
@@ -88,12 +119,9 @@ def attack_p2(
     his collapsed pair.  Also returns the collapsed state Bob still holds
     a share of.
     """
-    record, state = _measure_and_guess(state, rng)
-    if policy is AnnouncementPolicy.UNIFORM_RANDOM:
-        announcement = list(BellOutcome)[rng.integers(4)]
-    else:
-        announcement, state = qsim.measure_bell(state, QUBIT_A, QUBIT_T, rng)
-    return record, announcement, state
+    attack, announce = trent_steps(TrentStrategy.attack(policy), P2_ANNOUNCEMENT, policy)
+    outcomes, state = qsim.sample_schedule(state, attack + (announce,), rng)
+    return attack_record(outcomes), outcomes["trent"], state
 
 
 def honest_p1_announcement(state: StateVector, rng) -> tuple[XOutcome, StateVector]:

@@ -40,6 +40,8 @@ def load_config_file(path: str) -> dict[str, str]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value.strip()
     return values
 
@@ -99,7 +101,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = harness.run_experiment(config)
     text = report.to_json() if config.output_format == "json" else report.to_csv()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

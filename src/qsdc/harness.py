@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -37,15 +38,21 @@ class RunConfig:
     noise_probability: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.message_length, int) or self.message_length < 1:
+        # Accept any integer type except bool; store it as a plain int so
+        # that describe() and the reports serialize it.
+        for name in ("message_length", "seed", "rounds_repeat"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
+        if type(self.message_length) is not int or self.message_length < 1:
             raise ConfigError(f"message_length must be a positive integer, got {self.message_length}")
         if not 0.0 < self.check_fraction < 1.0:
             raise ConfigError(f"check_fraction must lie in (0,1), got {self.check_fraction}")
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ConfigError(f"abort_threshold must lie in [0,1], got {self.abort_threshold}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if not isinstance(self.rounds_repeat, int) or self.rounds_repeat < 1:
+        if type(self.rounds_repeat) is not int or self.rounds_repeat < 1:
             raise ConfigError(f"rounds_repeat must be a positive integer, got {self.rounds_repeat}")
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")

@@ -6,6 +6,13 @@ Protocol 2 routes the qubit to Trent: Trent Bell-measures (A, T) and
 publishes, while Bob X-measures his own qubit.  Either way Bob combines
 the announcement with his own result to decode the bit.
 
+Each round is written once, as the step schedule `schedule(protocol,
+trent)`, with Trent's steps from `adversary.trent_steps`.  The rest is
+derived from it: `round_distribution` walks it exactly,
+`run_round_statevector` samples it measurement by measurement, `decode`
+reads Bob's rule off the honest branches, and the `qsdc tables` rows
+(`honest_correspondence_table`) are the honest distribution.
+
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
 Z-then-Hadamard (the Pauli acts first).  The decode tables coincide for
@@ -14,6 +21,8 @@ exactly what blinds Trent's Z-basis attack without costing Bob anything.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -21,14 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import adversary, qsim
-from .adversary import (
-    QUBIT_A,
-    QUBIT_B,
-    QUBIT_T,
-    AnnouncementPolicy,
-    StrategyKind,
-    TrentStrategy,
-)
+from .adversary import QUBIT_A, QUBIT_B, AnnouncementPolicy, TrentStrategy
 from .qsim import BellOutcome, Gate, StateVector, XOutcome, ZOutcome
 
 
@@ -53,10 +55,6 @@ ENCODING_RULES = {
         1: (Gate.PAULI_Z, Gate.HADAMARD),
     },
 }
-
-_PHI_GROUP = frozenset({BellOutcome.PHI_PLUS, BellOutcome.PSI_MINUS})
-_PSI_GROUP = frozenset({BellOutcome.PHI_MINUS, BellOutcome.PSI_PLUS})
-
 
 @dataclass(frozen=True)
 class RoundTranscript:
@@ -130,42 +128,67 @@ def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateV
     return state
 
 
-def decode_p1(variant: EncodingVariant, trent_x: XOutcome, bob_bell: BellOutcome) -> int:
-    """Bob's decode rule for protocol 1 (total over both outcome alphabets).
-
-    Identical for both variants: the revision permutes signs inside the
-    Bell/X correlation, not which pairs occur for which bit.
-    """
-    if trent_x is XOutcome.PLUS:
-        return 1 if bob_bell in _PHI_GROUP else 0
-    return 0 if bob_bell in _PHI_GROUP else 1
-
-
-def decode_p2(variant: EncodingVariant, trent_bell: BellOutcome, bob_x: XOutcome) -> int:
-    """Bob's decode rule for protocol 2 (total over both outcome alphabets)."""
-    if trent_bell in _PHI_GROUP:
-        return 1 if bob_x is XOutcome.PLUS else 0
-    return 0 if bob_x is XOutcome.PLUS else 1
-
-
-# Encoding is deterministic, so the four post-encoding states are fixed;
-# caching them keeps large Monte Carlo sessions cheap.
-_ENCODED_CACHE: dict[tuple[EncodingVariant, int], StateVector] = {}
-
-
+@functools.cache
 def _encoded_ghz(variant: EncodingVariant, bit: int) -> StateVector:
-    key = (variant, bit)
-    if key not in _ENCODED_CACHE:
-        _ENCODED_CACHE[key] = encode_bit(variant, bit, qsim.make_ghz())
-    return _ENCODED_CACHE[key]
+    """The GHZ triple after Alice's encoding; fixed per (variant, bit)."""
+    return encode_bit(variant, bit, qsim.make_ghz())
 
 
-def _p1_default_policy(trent: TrentStrategy) -> AnnouncementPolicy:
-    return trent.announcement_policy or AnnouncementPolicy.GENUINE_MEASUREMENT
+def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
+    """One round after Alice's encoding as a time-ordered step schedule
+    (see qsim): Trent's attack steps, then Bob's measurement and Trent's
+    announcement in the order the protocol makes them.  An attacking
+    Trent's default policy is genuine in protocol 1, uniform in protocol 2.
+    """
+    if protocol is ProtocolId.PROTOCOL_1:
+        attack, announce = adversary.trent_steps(
+            trent, adversary.P1_ANNOUNCEMENT, AnnouncementPolicy.GENUINE_MEASUREMENT
+        )
+        return attack + (("measure", "bob", "bell", (QUBIT_A, QUBIT_B)), announce)
+    attack, announce = adversary.trent_steps(
+        trent, adversary.P2_ANNOUNCEMENT, AnnouncementPolicy.UNIFORM_RANDOM
+    )
+    return attack + (announce, ("measure", "bob", "x", (QUBIT_B,)))
 
 
-def _p2_default_policy(trent: TrentStrategy) -> AnnouncementPolicy:
-    return trent.announcement_policy or AnnouncementPolicy.UNIFORM_RANDOM
+@functools.cache
+def _decode_map(protocol: ProtocolId) -> dict:
+    """(announcement, Bob's result) -> bit, read off the honest branches
+    of both encodings; raises unless single-valued and total."""
+    table = {}
+    steps = schedule(protocol, TrentStrategy.honest())
+    for variant in EncodingVariant:
+        for bit in (0, 1):
+            for _, outcomes in qsim.enumerate_schedule(_encoded_ghz(variant, bit), steps):
+                key = (outcomes["trent"], outcomes["bob"])
+                if table.setdefault(key, bit) != bit:
+                    raise ValueError(f"decode map not single-valued at {key}")
+    if len(table) != 8:
+        raise ValueError(f"decode map covers {len(table)} of 8 outcome pairs")
+    return table
+
+
+def decode(protocol: ProtocolId, announcement, measurement) -> int:
+    """Bob's decode rule: the bit under which the honest round yields this
+    (announcement, measurement) pair.
+
+    The rule is the same for both encodings: the revision permutes signs
+    inside the Bell/X correlation, not which pairs occur for which bit.
+    """
+    return _decode_map(protocol)[(announcement, measurement)]
+
+
+def _outcome_fields(protocol: ProtocolId, outcomes: dict) -> dict:
+    """The RoundTranscript fields a walk of the round schedule determines."""
+    announcement, measurement = outcomes["trent"], outcomes["bob"]
+    record = adversary.attack_record(outcomes)
+    return dict(
+        trent_announcement=announcement,
+        bob_measurement=measurement,
+        decoded_bit=decode(protocol, announcement, measurement),
+        adversary_guess=None if record is None else record.guessed_bit,
+        adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
+    )
 
 
 def run_round_statevector(
@@ -183,48 +206,15 @@ def run_round_statevector(
     the same round and is much faster; this path is the reference it is
     checked against.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    state = _encoded_ghz(variant, bit)
-    guess = None
-    raw = None
-
-    if protocol is ProtocolId.PROTOCOL_1:
-        if trent.kind is StrategyKind.ATTACK:
-            record, state = adversary.attack_p1(state, rng)
-            guess, raw = record.guessed_bit, (record.z_outcome_a, record.z_outcome_t)
-        bob_bell, state = qsim.measure_bell(state, QUBIT_A, QUBIT_B, rng)
-        if (
-            trent.kind is StrategyKind.ATTACK
-            and _p1_default_policy(trent) is AnnouncementPolicy.UNIFORM_RANDOM
-        ):
-            announcement = (XOutcome.PLUS, XOutcome.MINUS)[rng.integers(2)]
-        else:
-            announcement, state = adversary.honest_p1_announcement(state, rng)
-        decoded = decode_p1(variant, announcement, bob_bell)
-        bob_result = bob_bell
-    else:
-        if trent.kind is StrategyKind.ATTACK:
-            record, announcement, state = adversary.attack_p2(
-                state, rng, _p2_default_policy(trent)
-            )
-            guess, raw = record.guessed_bit, (record.z_outcome_a, record.z_outcome_t)
-        else:
-            announcement, state = qsim.measure_bell(state, QUBIT_A, QUBIT_T, rng)
-        bob_x, state = qsim.measure_x(state, QUBIT_B, rng)
-        decoded = decode_p2(variant, announcement, bob_x)
-        bob_result = bob_x
-
+    outcomes, _ = qsim.sample_schedule(
+        _encoded_ghz(variant, bit), schedule(protocol, trent), rng
+    )
     return RoundTranscript(
         protocol=protocol,
         variant=variant,
         sent_bit=bit,
         is_check_bit=is_check_bit,
-        trent_announcement=announcement,
-        bob_measurement=bob_result,
-        decoded_bit=decoded,
-        adversary_guess=guess,
-        adversary_raw=raw,
+        **_outcome_fields(protocol, outcomes),
     )
 
 
@@ -240,103 +230,7 @@ class RoundBranch:
     adversary_raw: tuple[ZOutcome, ZOutcome] | None
 
 
-_TOL = 1e-15
-
-
-def _proj(state, vectors, qubits):
-    """Nonzero-probability branches of one projective measurement."""
-    for outcome, vec in vectors.items():
-        prob, post = qsim._project(state, vec, qubits)
-        if prob < _TOL:
-            continue
-        post = StateVector(
-            num_qubits=state.num_qubits,
-            amplitudes=post / np.sqrt(np.sum(np.abs(post) ** 2)),
-        )
-        yield outcome, prob, post
-
-
-_Z_VECTORS = {
-    ZOutcome.ZERO: np.array([1, 0], dtype=complex),
-    ZOutcome.ONE: np.array([0, 1], dtype=complex),
-}
-
-
-def _enumerate_branches(
-    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
-) -> list[RoundBranch]:
-    """Exact enumeration of every measurement branch of one round."""
-    state = _encoded_ghz(variant, bit)
-    branches: list[RoundBranch] = []
-
-    def add(prob, announcement, measurement, guess=None, raw=None):
-        decoded = (
-            decode_p1(variant, announcement, measurement)
-            if protocol is ProtocolId.PROTOCOL_1
-            else decode_p2(variant, announcement, measurement)
-        )
-        branches.append(
-            RoundBranch(
-                probability=prob,
-                trent_announcement=announcement,
-                bob_measurement=measurement,
-                decoded_bit=decoded,
-                adversary_guess=guess,
-                adversary_raw=raw,
-            )
-        )
-
-    if trent.kind is StrategyKind.HONEST:
-        if protocol is ProtocolId.PROTOCOL_1:
-            for bell, p1, post in _proj(state, qsim.BELL_VECTORS, (QUBIT_A, QUBIT_B)):
-                for x, p2 in qsim.x_probabilities(post, QUBIT_T).items():
-                    if p2 > _TOL:
-                        add(p1 * p2, x, bell)
-        else:
-            for bell, p1, post in _proj(state, qsim.BELL_VECTORS, (QUBIT_A, QUBIT_T)):
-                for x, p2 in qsim.x_probabilities(post, QUBIT_B).items():
-                    if p2 > _TOL:
-                        add(p1 * p2, bell, x)
-        return branches
-
-    rotated = qsim.apply_gate(state, Gate.HADAMARD, QUBIT_A)
-    for z_a, p_a, post_a in _proj(rotated, _Z_VECTORS, (QUBIT_A,)):
-        for z_t, p_t, post_t in _proj(post_a, _Z_VECTORS, (QUBIT_T,)):
-            guess = 0 if z_a == z_t else 1
-            raw = (z_a, z_t)
-            p_zz = p_a * p_t
-            if protocol is ProtocolId.PROTOCOL_1:
-                policy = _p1_default_policy(trent)
-                for bell, p_b, post_b in _proj(
-                    post_t, qsim.BELL_VECTORS, (QUBIT_A, QUBIT_B)
-                ):
-                    if policy is AnnouncementPolicy.UNIFORM_RANDOM:
-                        for x in (XOutcome.PLUS, XOutcome.MINUS):
-                            add(p_zz * p_b * 0.5, x, bell, guess, raw)
-                    else:
-                        for x, p_x in qsim.x_probabilities(post_b, QUBIT_T).items():
-                            if p_x > _TOL:
-                                add(p_zz * p_b * p_x, x, bell, guess, raw)
-            else:
-                policy = _p2_default_policy(trent)
-                if policy is AnnouncementPolicy.UNIFORM_RANDOM:
-                    for bell in BellOutcome:
-                        for x, p_x in qsim.x_probabilities(post_t, QUBIT_B).items():
-                            if p_x > _TOL:
-                                add(p_zz * 0.25 * p_x, bell, x, guess, raw)
-                else:
-                    for bell, p_b, post_b in _proj(
-                        post_t, qsim.BELL_VECTORS, (QUBIT_A, QUBIT_T)
-                    ):
-                        for x, p_x in qsim.x_probabilities(post_b, QUBIT_B).items():
-                            if p_x > _TOL:
-                                add(p_zz * p_b * p_x, bell, x, guess, raw)
-    return branches
-
-
-_DISTRIBUTION_CACHE: dict[tuple, tuple[tuple[float, ...], tuple[RoundBranch, ...]]] = {}
-
-
+@functools.cache
 def round_distribution(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
 ) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
@@ -345,15 +239,16 @@ def round_distribution(
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple supports bisection sampling.
     """
-    key = (protocol, variant, bit, trent)
-    if key not in _DISTRIBUTION_CACHE:
-        branches = _enumerate_branches(protocol, variant, bit, trent)
-        total = sum(b.probability for b in branches)
-        if abs(total - 1.0) > 1e-9:
-            raise AssertionError(f"branch probabilities sum to {total}")
-        cumulative = tuple(np.cumsum([b.probability for b in branches]))
-        _DISTRIBUTION_CACHE[key] = (cumulative, tuple(branches))
-    return _DISTRIBUTION_CACHE[key]
+    branches = tuple(
+        RoundBranch(probability=p, **_outcome_fields(protocol, outcomes))
+        for p, outcomes in qsim.enumerate_schedule(
+            _encoded_ghz(variant, bit), schedule(protocol, trent)
+        )
+    )
+    total = sum(b.probability for b in branches)
+    if abs(total - 1.0) > 1e-9:
+        raise AssertionError(f"branch probabilities sum to {total}")
+    return tuple(np.cumsum([b.probability for b in branches])), branches
 
 
 def run_round(
@@ -371,8 +266,6 @@ def run_round(
     branch of the state vector; distributionally identical to
     `run_round_statevector` but orders of magnitude faster in bulk runs.
     """
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
     cumulative, branches = round_distribution(protocol, variant, bit, trent)
     branch = branches[min(bisect_right(cumulative, rng.random()), len(branches) - 1)]
     return RoundTranscript(
@@ -414,17 +307,7 @@ def run_session(
         bit = next(check_iter) if is_check else next(message_iter)
         transcript = run_round(protocol, variant, bit, trent, rng, is_check_bit=is_check)
         if noise_probability > 0.0 and rng.random() < noise_probability:
-            transcript = RoundTranscript(
-                protocol=transcript.protocol,
-                variant=transcript.variant,
-                sent_bit=transcript.sent_bit,
-                is_check_bit=transcript.is_check_bit,
-                trent_announcement=transcript.trent_announcement,
-                bob_measurement=transcript.bob_measurement,
-                decoded_bit=1 - transcript.decoded_bit,
-                adversary_guess=transcript.adversary_guess,
-                adversary_raw=transcript.adversary_raw,
-            )
+            transcript = dataclasses.replace(transcript, decoded_bit=1 - transcript.decoded_bit)
         transcripts.append(transcript)
 
     checks = [t for t in transcripts if t.is_check_bit]
@@ -444,46 +327,16 @@ def extract_message(transcripts: list[RoundTranscript], abort: bool) -> list[int
 def honest_correspondence_table(
     protocol: ProtocolId, variant: EncodingVariant
 ) -> list[tuple[object, object, int, float]]:
-    """Exact Born-probability enumeration of honest rounds.
+    """Exact Born-probability rows of honest rounds, read off
+    `round_distribution`.
 
     Returns (announcement, bob_measurement, bit, probability) rows for every
     outcome pair with nonzero probability.  Raises if the induced decode map
     is not single-valued.
     """
-    rows = []
-    seen: dict[tuple, int] = {}
-    for bit in (0, 1):
-        state = encode_bit(variant, bit, qsim.make_ghz())
-        if protocol is ProtocolId.PROTOCOL_1:
-            pairs = _enumerate(state, (QUBIT_A, QUBIT_B), QUBIT_T)
-            pairs = [(x, bell, p) for (bell, x, p) in pairs]
-        else:
-            pairs = [
-                (bell, x, p)
-                for (bell, x, p) in _enumerate(state, (QUBIT_A, QUBIT_T), QUBIT_B)
-            ]
-        for announcement, measurement, prob in pairs:
-            key = (announcement, measurement)
-            if key in seen and seen[key] != bit:
-                raise ValueError(f"decode map not single-valued at {key}")
-            seen[key] = bit
-            rows.append((announcement, measurement, bit, prob))
-    return rows
-
-
-def _enumerate(state: StateVector, bell_pair, x_qubit):
-    """All (bell, x, probability) branches of a Bell-then-X measurement."""
-    branches = []
-    for bell, bell_vec in qsim.BELL_VECTORS.items():
-        p_bell, post = qsim._project(state, bell_vec, bell_pair)
-        if p_bell < 1e-15:
-            continue
-        post = StateVector(
-            num_qubits=state.num_qubits,
-            amplitudes=post / np.sqrt(np.sum(np.abs(post) ** 2)),
-        )
-        for x, p_x in qsim.x_probabilities(post, x_qubit).items():
-            if p_x < 1e-15:
-                continue
-            branches.append((bell, x, p_bell * p_x))
-    return branches
+    honest = TrentStrategy.honest()
+    return [
+        (b.trent_announcement, b.bob_measurement, bit, b.probability)
+        for bit in (0, 1)
+        for b in round_distribution(protocol, variant, bit, honest)[1]
+    ]

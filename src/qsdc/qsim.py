@@ -138,46 +138,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
 
 
-def _project(state: StateVector, basis_vector: np.ndarray, qubits: tuple[int, ...]):
-    """Probability and (unnormalized) post-state of projecting the given
-    qubits onto a basis vector of their joint space."""
-    n = state.num_qubits
-    amps = state.amplitudes.reshape([2] * n)
-    amps = np.moveaxis(amps, qubits, range(len(qubits)))
-    amps = amps.reshape(2 ** len(qubits), -1)
-    coeffs = basis_vector.conj() @ amps
-    prob = float(np.sum(np.abs(coeffs) ** 2))
-    post = np.outer(basis_vector, coeffs).reshape([2] * n)
-    post = np.moveaxis(post, range(len(qubits)), qubits)
-    return prob, post.reshape(-1)
-
-
-def z_probabilities(state: StateVector, qubit: int) -> dict[ZOutcome, float]:
-    state._check_qubit(qubit)
-    n = state.num_qubits
-    amps = state.amplitudes.reshape([2] * n)
-    probs = np.sum(np.abs(amps) ** 2, axis=tuple(i for i in range(n) if i != qubit))
-    return {ZOutcome.ZERO: float(probs[0]), ZOutcome.ONE: float(probs[1])}
-
-
-def x_probabilities(state: StateVector, qubit: int) -> dict[XOutcome, float]:
-    state._check_qubit(qubit)
-    return {
-        outcome: _project(state, vec, (qubit,))[0]
-        for outcome, vec in X_VECTORS.items()
-    }
-
-
-def bell_probabilities(
-    state: StateVector, qubit_a: int, qubit_b: int
-) -> dict[BellOutcome, float]:
-    _check_pair(state, qubit_a, qubit_b)
-    return {
-        outcome: _project(state, vec, (qubit_a, qubit_b))[0]
-        for outcome, vec in BELL_VECTORS.items()
-    }
-
-
 def _check_pair(state: StateVector, qubit_a: int, qubit_b: int) -> None:
     if state.num_qubits < 2:
         raise ValueError("Bell measurement needs at least 2 qubits")
@@ -196,26 +156,65 @@ def _fast_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
     return state
 
 
-# Stacked, pre-conjugated basis matrices for the hot sampling path.
-_Z_OUTCOMES = (ZOutcome.ZERO, ZOutcome.ONE)
-_X_OUTCOMES = (XOutcome.PLUS, XOutcome.MINUS)
-_BELL_OUTCOMES = tuple(BellOutcome)
-_Z_BASIS = np.eye(2, dtype=complex)
-_X_BASIS = np.stack([X_VECTORS[o] for o in _X_OUTCOMES])
-_BELL_BASIS = np.stack([BELL_VECTORS[o] for o in _BELL_OUTCOMES])
+# Outcome alphabet and stacked basis vectors of each measurement basis.
+OUTCOMES = {
+    "z": (ZOutcome.ZERO, ZOutcome.ONE),
+    "x": (XOutcome.PLUS, XOutcome.MINUS),
+    "bell": tuple(BellOutcome),
+}
+_BASES = {
+    "z": np.eye(2, dtype=complex),
+    "x": np.stack([X_VECTORS[o] for o in OUTCOMES["x"]]),
+    "bell": np.stack([BELL_VECTORS[o] for o in OUTCOMES["bell"]]),
+}
 
 
-def _sample_projective(state, outcomes, basis, qubits, rng):
-    """Born-rule sampling over a complete projective family.  Only the
-    sampled branch's post-state is materialized."""
+def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
+    """Born probability of every outcome of measuring `qubits` in `basis`,
+    and a function from an outcome's index to its normalized post-state."""
     n = state.num_qubits
     k = len(qubits)
-    amps = state.amplitudes.reshape([2] * n)
     moved = qubits != tuple(range(k))
+    amps = state.amplitudes.reshape([2] * n)
     if moved:
         amps = np.moveaxis(amps, qubits, range(k))
-    coeffs = basis.conj() @ amps.reshape(2**k, -1)
+    coeffs = _BASES[basis].conj() @ amps.reshape(2**k, -1)
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
+
+    def collapse(index: int) -> StateVector:
+        post = _BASES[basis][index][:, None] * (coeffs[index] / np.sqrt(probs[index]))
+        post = post.reshape([2] * n)
+        if moved:
+            post = np.moveaxis(post, range(k), qubits)
+        return _fast_state(n, np.ascontiguousarray(post.reshape(-1)))
+
+    return probs, collapse
+
+
+def z_probabilities(state: StateVector, qubit: int) -> dict[ZOutcome, float]:
+    state._check_qubit(qubit)
+    probs, _ = _project(state, "z", (qubit,))
+    return dict(zip(OUTCOMES["z"], map(float, probs)))
+
+
+def x_probabilities(state: StateVector, qubit: int) -> dict[XOutcome, float]:
+    state._check_qubit(qubit)
+    probs, _ = _project(state, "x", (qubit,))
+    return dict(zip(OUTCOMES["x"], map(float, probs)))
+
+
+def bell_probabilities(
+    state: StateVector, qubit_a: int, qubit_b: int
+) -> dict[BellOutcome, float]:
+    _check_pair(state, qubit_a, qubit_b)
+    probs, _ = _project(state, "bell", (qubit_a, qubit_b))
+    return dict(zip(OUTCOMES["bell"], map(float, probs)))
+
+
+def _sample_projective(state, basis, qubits, rng):
+    """Born-rule sampling over a complete projective family.  Only the
+    sampled branch's post-state is materialized."""
+    probs, collapse = _project(state, basis, qubits)
     total = probs.sum()
     if total < 1e-12:
         raise ValueError("cannot measure a state with vanishing norm")
@@ -230,25 +229,20 @@ def _sample_projective(state, outcomes, basis, qubits, rng):
         cumulative += p
         if draw < cumulative:
             break
-
-    post = basis[idx][:, None] * (coeffs[idx] / np.sqrt(probs[idx]))
-    post = post.reshape([2] * n)
-    if moved:
-        post = np.moveaxis(post, range(k), qubits)
-    return outcomes[idx], _fast_state(n, np.ascontiguousarray(post.reshape(-1)))
+    return OUTCOMES[basis][idx], collapse(idx)
 
 
 def measure_z(state: StateVector, qubit: int, rng) -> tuple[ZOutcome, StateVector]:
     """Projective Z-basis measurement of one qubit; returns the outcome and
     the renormalized post-measurement state."""
     state._check_qubit(qubit)
-    return _sample_projective(state, _Z_OUTCOMES, _Z_BASIS, (qubit,), rng)
+    return _sample_projective(state, "z", (qubit,), rng)
 
 
 def measure_x(state: StateVector, qubit: int, rng) -> tuple[XOutcome, StateVector]:
     """Projective measurement in the |+>/|-> basis."""
     state._check_qubit(qubit)
-    return _sample_projective(state, _X_OUTCOMES, _X_BASIS, (qubit,), rng)
+    return _sample_projective(state, "x", (qubit,), rng)
 
 
 def measure_bell(
@@ -256,4 +250,54 @@ def measure_bell(
 ) -> tuple[BellOutcome, StateVector]:
     """Projective Bell-basis measurement of the ordered pair (qubit_a, qubit_b)."""
     _check_pair(state, qubit_a, qubit_b)
-    return _sample_projective(state, _BELL_OUTCOMES, _BELL_BASIS, (qubit_a, qubit_b), rng)
+    return _sample_projective(state, "bell", (qubit_a, qubit_b), rng)
+
+
+def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
+    """Run a step schedule on `state`.
+
+    A schedule is a time-ordered tuple of steps: ("gate", Gate, qubit),
+    ("measure", role, "z" | "x" | "bell", qubits) or ("random", role,
+    alphabet), the last a uniformly random symbol.  Draws from `rng` in
+    time order, one `rng.random()` per measurement and one `rng.integers`
+    per random step, and returns the outcomes by role and the final state.
+    """
+    outcomes = {}
+    for step in schedule:
+        if step[0] == "gate":
+            state = apply_gate(state, step[1], step[2])
+        elif step[0] == "measure":
+            _, role, basis, qubits = step
+            # Looked up per call, so a rebound qsim.measure_* (a tracer's
+            # wrapper, say) is the one that runs.
+            measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[basis]
+            outcomes[role], state = measure(state, *qubits, rng)
+        else:
+            _, role, alphabet = step
+            outcomes[role] = alphabet[rng.integers(len(alphabet))]
+    return outcomes, state
+
+
+def enumerate_schedule(state: StateVector, schedule) -> list[tuple[float, dict]]:
+    """(Born probability, outcomes by role) of every branch of a schedule
+    run on `state` whose probability exceeds 1e-15, ordered by the first
+    step's outcome, then the second's, each in alphabet order."""
+    branches = [(1.0, {}, state)]
+    for step in schedule:
+        grown = []
+        for probability, outcomes, current in branches:
+            if step[0] == "gate":
+                grown.append((probability, outcomes, apply_gate(current, step[1], step[2])))
+            elif step[0] == "measure":
+                _, role, basis, qubits = step
+                probs, collapse = _project(current, basis, qubits)
+                for index, outcome in enumerate(OUTCOMES[basis]):
+                    p = probability * float(probs[index])
+                    if p > 1e-15:
+                        grown.append((p, {**outcomes, role: outcome}, collapse(index)))
+            else:
+                _, role, alphabet = step
+                for outcome in alphabet:
+                    grown.append((probability / len(alphabet), {**outcomes, role: outcome}, current))
+        branches = grown
+    return [(probability, outcomes) for probability, outcomes, _ in branches]

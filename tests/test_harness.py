@@ -41,6 +41,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["message_length", "seed", "rounds_repeat"])
+    @pytest.mark.parametrize("value", [True, 2.0, "3"])
+    def test_integer_fields_reject_non_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers_match_plain_ints(self, integer):
+        plain = RunConfig(message_length=50, seed=3, rounds_repeat=2)
+        config = RunConfig(message_length=integer(50), seed=integer(3), rounds_repeat=integer(2))
+        assert type(config.seed) is int
+        assert run_experiment(config).to_json() == run_experiment(plain).to_json()
+        assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
+
 
 class TestRunExperiment:
     def test_honest_revised_is_error_free(self):
@@ -236,6 +250,19 @@ class TestCli:
         config = tmp_path / "bad.cfg"
         config.write_text("qubits = 3\n")
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    def test_duplicate_config_key_rejected(self, tmp_path, capsys):
+        config = tmp_path / "dup.cfg"
+        config.write_text("seed = 1\nbits = 100\nseed = 2\n")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert f"{config}:3: duplicate key 'seed'" in capsys.readouterr().err
+
+    def test_unwritable_out_path_exits_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "dir" / "x.json"
+        assert cli.main(["run", "--bits", "20", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert not out.exists()
 
     def test_verify_subcommand(self, capsys):
         assert cli.main(["verify"]) == 0

@@ -1,8 +1,11 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 import oracle
-from qsdc import qsim
+from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.protocol import (
     ENCODING_RULES,
@@ -10,8 +13,7 @@ from qsdc.protocol import (
     ProtocolId,
     RoundTranscript,
     SessionPlan,
-    decode_p1,
-    decode_p2,
+    decode,
     encode_bit,
     extract_message,
     honest_correspondence_table,
@@ -66,42 +68,74 @@ class TestEncoding:
     def test_invalid_bit(self):
         with pytest.raises(ValueError, match="bit"):
             encode_bit(ORIGINAL, 2, make_ghz())
+        for sampler in (run_round, run_round_statevector):
+            with pytest.raises(ValueError, match="bit must be 0 or 1"):
+                sampler(P1, REVISED, 2, TrentStrategy.honest(), rng())
 
 
 class TestDecodeTables:
-    def test_decode_p1_revised_rows(self):
-        assert decode_p1(REVISED, PLUS, PHI_P) == 1
-        assert decode_p1(REVISED, PLUS, PSI_M) == 1
-        assert decode_p1(REVISED, PLUS, PHI_M) == 0
-        assert decode_p1(REVISED, PLUS, PSI_P) == 0
-        assert decode_p1(REVISED, MINUS, PHI_P) == 0
-        assert decode_p1(REVISED, MINUS, PSI_M) == 0
-        assert decode_p1(REVISED, MINUS, PHI_M) == 1
-        assert decode_p1(REVISED, MINUS, PSI_P) == 1
+    def test_decode_p1_rows(self):
+        assert decode(P1, PLUS, PHI_P) == 1
+        assert decode(P1, PLUS, PSI_M) == 1
+        assert decode(P1, PLUS, PHI_M) == 0
+        assert decode(P1, PLUS, PSI_P) == 0
+        assert decode(P1, MINUS, PHI_P) == 0
+        assert decode(P1, MINUS, PSI_M) == 0
+        assert decode(P1, MINUS, PHI_M) == 1
+        assert decode(P1, MINUS, PSI_P) == 1
 
     def test_decode_p1_original_rows(self):
-        assert decode_p1(ORIGINAL, MINUS, PHI_P) == 0
-        assert decode_p1(ORIGINAL, PLUS, PSI_P) == 0
-        assert decode_p1(ORIGINAL, PLUS, PHI_P) == 1
-        assert decode_p1(ORIGINAL, MINUS, PSI_P) == 1
+        rows = honest_correspondence_table(P1, ORIGINAL)
+        mapping = {(ann, meas): bit for ann, meas, bit, _ in rows}
+        assert mapping[(MINUS, PHI_P)] == 0
+        assert mapping[(PLUS, PSI_P)] == 0
+        assert mapping[(PLUS, PHI_P)] == 1
+        assert mapping[(MINUS, PSI_P)] == 1
 
     def test_decode_p2_rows(self):
-        for variant in EncodingVariant:
-            assert decode_p2(variant, PHI_P, PLUS) == 1
-            assert decode_p2(variant, PSI_M, PLUS) == 1
-            assert decode_p2(variant, PHI_P, MINUS) == 0
-            assert decode_p2(variant, PSI_M, MINUS) == 0
-            assert decode_p2(variant, PHI_M, PLUS) == 0
-            assert decode_p2(variant, PSI_P, PLUS) == 0
-            assert decode_p2(variant, PHI_M, MINUS) == 1
-            assert decode_p2(variant, PSI_P, MINUS) == 1
+        assert decode(P2, PHI_P, PLUS) == 1
+        assert decode(P2, PSI_M, PLUS) == 1
+        assert decode(P2, PHI_P, MINUS) == 0
+        assert decode(P2, PSI_M, MINUS) == 0
+        assert decode(P2, PHI_M, PLUS) == 0
+        assert decode(P2, PSI_P, PLUS) == 0
+        assert decode(P2, PHI_M, MINUS) == 1
+        assert decode(P2, PSI_P, MINUS) == 1
 
     def test_totality(self):
         for x in XOutcome:
             for bell in BellOutcome:
-                for variant in EncodingVariant:
-                    assert decode_p1(variant, x, bell) in (0, 1)
-                    assert decode_p2(variant, bell, x) in (0, 1)
+                assert decode(P1, x, bell) in (0, 1)
+                assert decode(P2, bell, x) in (0, 1)
+
+    @pytest.fixture
+    def encoding_rules(self, monkeypatch):
+        """Install other encoding rules for both variants, clearing the
+        encoded-state and decode-map caches around the swap."""
+
+        def clear():
+            protocol_module._encoded_ghz.cache_clear()
+            protocol_module._decode_map.cache_clear()
+
+        def install(bit0, bit1):
+            rules = {variant: {0: bit0, 1: bit1} for variant in EncodingVariant}
+            monkeypatch.setattr(protocol_module, "ENCODING_RULES", rules)
+            clear()
+
+        yield install
+        clear()
+
+    def test_rejects_a_map_that_is_not_single_valued(self, encoding_rules):
+        encoding_rules((Gate.HADAMARD,), (Gate.HADAMARD,))
+        with pytest.raises(ValueError, match="not single-valued"):
+            decode(P1, PLUS, PHI_P)
+
+    def test_rejects_a_map_that_misses_outcome_pairs(self, encoding_rules):
+        # without the Hadamard, bit 0 yields only phi and bit 1 only psi
+        # Bell outcomes, each tied to one announcement: 4 of 8 pairs
+        encoding_rules((Gate.IDENTITY,), (Gate.PAULI_X,))
+        with pytest.raises(ValueError, match="covers 4 of 8"):
+            decode(P2, PHI_P, PLUS)
 
 
 class TestHonestRounds:
@@ -195,27 +229,108 @@ class TestRoundDistribution:
             for key in got:
                 assert got[key] == pytest.approx(expected[key], abs=1e-9)
 
-    @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
-    def test_sampled_and_statevector_paths_agree(self, protocol, variant):
-        # empirical check that run_round and run_round_statevector draw
-        # from the same joint distribution
-        n = 600
-        trent = TrentStrategy.attack()
-        for bit in (0, 1):
-            counts = {"fast": {}, "literal": {}}
-            g1, g2 = rng(21), rng(22)
-            for _ in range(n):
-                for name, func, g in (
-                    ("fast", run_round, g1),
-                    ("literal", run_round_statevector, g2),
-                ):
-                    t = func(protocol, variant, bit, trent, g)
-                    key = (t.trent_announcement, t.bob_measurement, t.adversary_guess)
-                    counts[name][key] = counts[name].get(key, 0) + 1
-            for key in set(counts["fast"]) | set(counts["literal"]):
-                f = counts["fast"].get(key, 0) / n
-                l = counts["literal"].get(key, 0) / n
-                assert abs(f - l) < 0.08, (key, f, l)
+
+
+def chi2_survival(x: float, df: int) -> float:
+    """P(X >= x) for X ~ chi-square with integer `df` and x > 0: the
+    regularized upper incomplete gamma function Q(df/2, x/2) in closed
+    form, each term taken in log space so that large df cannot overflow."""
+    y = x / 2.0
+
+    def term(a: float) -> float:  # y^a e^-y / Gamma(a + 1)
+        return math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+
+    if df % 2 == 0:
+        return sum(term(j) for j in range(df // 2))
+    return math.erfc(math.sqrt(y)) + sum(term(j + 0.5) for j in range(df // 2))
+
+
+def chi2_critical(df: int, alpha: float) -> float:
+    """The x with chi2_survival(x, df) == alpha, by bisection."""
+    low, high = 0.0, 1.0
+    while chi2_survival(high, df) > alpha:
+        high *= 2.0
+    for _ in range(100):
+        mid = (low + high) / 2.0
+        low, high = (mid, high) if chi2_survival(mid, df) > alpha else (low, mid)
+    return high
+
+
+def test_chi2_critical_matches_tables():
+    # standard table values: 95th percentile for 1, 3 and 100 degrees of
+    # freedom, 99.9th for 15
+    assert chi2_critical(1, 0.05) == pytest.approx(3.841, abs=1e-3)
+    assert chi2_critical(3, 0.05) == pytest.approx(7.815, abs=1e-3)
+    assert chi2_critical(100, 0.05) == pytest.approx(124.342, abs=1e-3)
+    assert chi2_critical(15, 0.001) == pytest.approx(37.697, abs=1e-3)
+
+
+TRENTS = {
+    "honest": TrentStrategy.honest(),
+    "attack": TrentStrategy.attack(),
+    "genuine": TrentStrategy.attack(AnnouncementPolicy.GENUINE_MEASUREMENT),
+    "uniform": TrentStrategy.attack(AnnouncementPolicy.UNIFORM_RANDOM),
+}
+SAMPLER_CONFIGS = [
+    (p, v, bit, name) for p in ProtocolId for v in EncodingVariant for bit in (0, 1) for name in TRENTS
+]
+SAMPLERS = {"run_round": run_round, "run_round_statevector": run_round_statevector}
+# False-alarm probability of each chi-square check.  There are 66: one per
+# configuration and sampler, and one pooled over all configurations per
+# sampler.  A correct sampler thus fails this suite on an arbitrary seed
+# with probability at most 66e-6.
+FALSE_ALARM = 1e-6
+DRAWS = 480  # every branch has probability >= 1/16: >= 30 expected counts
+
+
+@functools.cache
+def chi2_statistic(config_index: int, sampler: str) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom of DRAWS fixed-seed rounds
+    of one sampler against the branch probabilities of
+    `round_distribution`.  Asserts that every sampled outcome is a branch
+    and carries that branch's decoded bit and guess."""
+    protocol, variant, bit, trent_name = SAMPLER_CONFIGS[config_index]
+    trent = TRENTS[trent_name]
+    _, branches = round_distribution(protocol, variant, bit, trent)
+    index = {
+        (b.trent_announcement, b.bob_measurement, b.adversary_raw): i
+        for i, b in enumerate(branches)
+    }
+    counts = np.zeros(len(branches))
+    generator = rng(config_index)
+    for _ in range(DRAWS):
+        t = SAMPLERS[sampler](protocol, variant, bit, trent, generator)
+        key = (t.trent_announcement, t.bob_measurement, t.adversary_raw)
+        assert key in index, (sampler, key)
+        branch = branches[index[key]]
+        assert (t.decoded_bit, t.adversary_guess) == (branch.decoded_bit, branch.adversary_guess)
+        counts[index[key]] += 1
+    expected = DRAWS * np.array([b.probability for b in branches])
+    return float(np.sum((counts - expected) ** 2 / expected)), len(branches) - 1
+
+
+@pytest.mark.parametrize(
+    "config_index",
+    range(len(SAMPLER_CONFIGS)),
+    ids=[f"p{p.value}-{v.value}-bit{bit}-{name}" for p, v, bit, name in SAMPLER_CONFIGS],
+)
+def test_samplers_fit_the_exact_distribution(config_index):
+    """Pearson chi-square test of `run_round` and `run_round_statevector`
+    against the exact branch table, at FALSE_ALARM per sampler."""
+    for sampler in SAMPLERS:
+        statistic, df = chi2_statistic(config_index, sampler)
+        assert statistic < chi2_critical(df, FALSE_ALARM), (sampler, statistic, df)
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_sampler_fits_pooled_over_all_configurations(sampler):
+    """The per-configuration statistics summed over all 32 configurations:
+    a small bias shared by every configuration, too small to flag in any
+    one of them, adds up here."""
+    results = [chi2_statistic(i, sampler) for i in range(len(SAMPLER_CONFIGS))]
+    statistic = sum(x for x, _ in results)
+    df = sum(d for _, d in results)
+    assert statistic < chi2_critical(df, FALSE_ALARM), (statistic, df)
 
 
 class TestCorrespondenceTables:
@@ -267,10 +382,7 @@ class TestCorrespondenceTables:
     def test_original_matches_oracle_decode(self, protocol):
         rows = honest_correspondence_table(protocol, ORIGINAL)
         for ann, meas, bit, _ in rows:
-            if protocol is P1:
-                assert decode_p1(ORIGINAL, ann, meas) == bit
-            else:
-                assert decode_p2(ORIGINAL, ann, meas) == bit
+            assert decode(protocol, ann, meas) == bit
 
 
 class TestSessionPlan:

@@ -210,10 +210,11 @@ class TestMeasureBell:
         # with Trent's qubit projected onto |->, the (A,B) pair is an even
         # phi+/psi- mixture
         state = apply_gate(make_ghz(), Gate.HADAMARD, 0)
-        minus = np.array([S2, -S2], dtype=complex)
-        prob, post = qsim._project(state, minus, (1,))
-        assert prob == pytest.approx(0.5, abs=ATOL)
-        post_state = make_state(post / np.sqrt(prob))
+        assert qsim.x_probabilities(state, 1)[XOutcome.MINUS] == pytest.approx(0.5, abs=ATOL)
+        generator = rng(13)
+        outcome = None
+        while outcome is not XOutcome.MINUS:
+            outcome, post_state = measure_x(state, 1, generator)
         probs = qsim.bell_probabilities(post_state, 0, 2)
         assert probs[BellOutcome.PHI_PLUS] == pytest.approx(0.5, abs=ATOL)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(0.5, abs=ATOL)
@@ -246,3 +247,40 @@ class TestIdempotentCollapse:
         outcome, post = measure_bell(state, 0, 1, generator)
         again, _ = measure_bell(post, 0, 1, generator)
         assert again is outcome
+
+
+class TestSchedules:
+    SCHEDULE = (
+        ("gate", Gate.HADAMARD, 0),
+        ("measure", "a", "z", (0,)),
+        ("random", "r", ("p", "q", "s")),
+        ("measure", "ab", "bell", (0, 2)),
+        ("measure", "t", "x", (1,)),
+    )
+
+    def test_sampler_draws_in_time_order(self):
+        # one rng.random() per measurement, one rng.integers per random step
+        for seed in range(20):
+            outcomes, state = qsim.sample_schedule(make_ghz(), self.SCHEDULE, rng(seed))
+            generator = rng(seed)
+            expected = apply_gate(make_ghz(), Gate.HADAMARD, 0)
+            a, expected = measure_z(expected, 0, generator)
+            r = ("p", "q", "s")[generator.integers(3)]
+            ab, expected = measure_bell(expected, 0, 2, generator)
+            t, expected = measure_x(expected, 1, generator)
+            assert outcomes == {"a": a, "r": r, "ab": ab, "t": t}
+            assert np.array_equal(state.amplitudes, expected.amplitudes)
+
+    def test_enumeration_is_complete_and_matches_the_born_rule(self):
+        branches = list(qsim.enumerate_schedule(make_ghz(), self.SCHEDULE))
+        assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=ATOL)
+        # after H on A, the GHZ state gives either Z outcome of A w.p. 1/2
+        for z in ZOutcome:
+            p_z = sum(p for p, out in branches if out["a"] is z)
+            assert p_z == pytest.approx(0.5, abs=ATOL)
+        # the random step splits every branch evenly
+        for symbol in ("p", "q", "s"):
+            p_r = sum(p for p, out in branches if out["r"] == symbol)
+            assert p_r == pytest.approx(1 / 3, abs=ATOL)
+        assert all(p > 1e-15 for p, _ in branches)
+        assert len({tuple(out.items()) for _, out in branches}) == len(branches)
