@@ -29,8 +29,12 @@ _CONFIG_KEYS = {
 
 def load_config_file(path: str) -> dict[str, str]:
     """Plain key-value config: one `key = value` per line, # comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

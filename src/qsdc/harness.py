@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import numbers
 import time
 from collections import Counter
@@ -17,7 +18,7 @@ from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from .protocol import EncodingVariant, ProtocolId, SessionPlan
 from .qsim import BellOutcome, Gate, StateVector, XOutcome
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -143,179 +144,102 @@ class RunReport:
         return buf.getvalue()
 
 
+_Z95 = 1.96  # two-sided 95% standard normal quantile
+
+
 def binomial_interval(successes: int, trials: int) -> tuple[float, float]:
-    """Normal-approximation 95% interval for a binomial rate."""
+    """95% Wilson score interval for a binomial rate (Brown, Cai &
+    DasGupta, Statistical Science 2001).
+
+    Unlike the normal approximation it keeps a positive width at rates 0
+    and 1, where its lower or upper end is exactly 0.0 or 1.0.  No trials
+    give (0.0, 0.0).
+    """
     if trials == 0:
         return (0.0, 0.0)
     p = successes / trials
-    half = 1.96 * np.sqrt(p * (1.0 - p) / trials)
-    return (max(0.0, p - half), min(1.0, p + half))
-
-
-def _branch_arrays(config: RunConfig):
-    """Per-bit branch lookup tables for vectorized session execution."""
-    tables = {}
-    labels: list[str] = []
-    label_index: dict[str, int] = {}
-    for bit in (0, 1):
-        cumulative, branches = protocol.round_distribution(
-            config.protocol, config.variant, bit, config.trent
-        )
-        decoded = np.array([b.decoded_bit for b in branches])
-        has_guess = branches[0].adversary_guess is not None
-        guesses = (
-            np.array([b.adversary_guess for b in branches]) if has_guess else None
-        )
-        z_equal = (
-            np.array(
-                [b.adversary_raw[0] == b.adversary_raw[1] for b in branches]
-            )
-            if has_guess
-            else None
-        )
-        label_ids = []
-        for b in branches:
-            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
-            if label not in label_index:
-                label_index[label] = len(labels)
-                labels.append(label)
-            label_ids.append(label_index[label])
-        tables[bit] = (
-            np.asarray(cumulative),
-            decoded,
-            guesses,
-            z_equal,
-            np.array(label_ids),
-        )
-    return tables, labels
-
-
-def _run_session_vectorized(config: RunConfig, plan: SessionPlan, rng, tables, n_labels):
-    """One session's statistics without materializing transcripts.
-
-    Distributionally identical to `protocol.run_session`; each round is an
-    independent draw from the exact branch distribution of its bit.
-    """
-    total = plan.num_rounds
-    is_check = np.zeros(total, dtype=bool)
-    is_check[list(plan.check_positions)] = True
-    bits = np.empty(total, dtype=np.int64)
-    bits[~is_check] = plan.message_bits
-    bits[is_check] = plan.check_bits
-
-    draws = rng.random(total)
-    decoded = np.empty(total, dtype=np.int64)
-    guesses = np.full(total, -1, dtype=np.int64)
-    z_equal = np.zeros(total, dtype=bool)
-    label_counts = np.zeros(n_labels, dtype=np.int64)
-    has_guess = False
-    for bit in (0, 1):
-        mask = bits == bit
-        if not mask.any():
-            continue
-        cumulative, dec, guess_arr, zeq_arr, label_ids = tables[bit]
-        idx = np.minimum(
-            np.searchsorted(cumulative, draws[mask], side="right"), len(dec) - 1
-        )
-        decoded[mask] = dec[idx]
-        if guess_arr is not None:
-            has_guess = True
-            guesses[mask] = guess_arr[idx]
-            z_equal[mask] = zeq_arr[idx]
-        label_counts += np.bincount(label_ids[idx], minlength=n_labels)
-
-    if config.noise_probability > 0.0:
-        flips = rng.random(total) < config.noise_probability
-        decoded = decoded ^ flips
-
-    check_errors = int(np.sum((decoded != bits) & is_check))
-    n_check = int(is_check.sum())
-    error_rate = check_errors / n_check if n_check else 0.0
-    aborted = error_rate > config.abort_threshold
-    if has_guess:
-        guess_hits = int(np.sum(guesses == bits))
-        equal = int(np.sum(z_equal))
-    else:
-        guess_hits = equal = None
-    return total, n_check, check_errors, error_rate, aborted, guess_hits, equal, label_counts
+    z2 = _Z95**2 / trials
+    center = (p + z2 / 2) / (1 + z2)
+    half = _Z95 * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials)) / (1 + z2)
+    low = max(0.0, center - half) if successes > 0 else 0.0
+    high = min(1.0, center + half) if successes < trials else 1.0
+    return (float(low), float(high))
 
 
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute `rounds_repeat` seeded sessions and aggregate their metrics.
 
-    Sessions draw from independent substreams of the configured seed, so a
-    report is bit-identical across runs with the same config.
+    Rounds are independent given their bit, and every reported number is
+    a sum over (session, role, bit, branch) counts, so no round is
+    materialized.  One generator seeded with `config.seed` serves the
+    whole run.  Each session draws its message bits and its
+    `SessionPlan`, which fix how many message and check rounds carry each
+    bit.  Then, for all sessions at once, the branch counts of each
+    (role, bit) are drawn from the multinomial over that bit's exact
+    branch distribution, and the noise flips of each check count from a
+    binomial.  A report is bit-identical across runs with the same config.
     """
     start = time.perf_counter()
-    tables, labels = _branch_arrays(config)
+    rng = np.random.default_rng(config.seed)
+    bit_counts = []  # [session][role][bit]; role 0 = message, 1 = check
+    for _ in range(config.rounds_repeat):
+        message_bits = rng.integers(0, 2, size=config.message_length)
+        plan = SessionPlan.build(message_bits, config.check_fraction, rng)
+        m1, c1 = int(np.count_nonzero(message_bits)), sum(plan.check_bits)
+        bit_counts.append([(config.message_length - m1, m1), (len(plan.check_bits) - c1, c1)])
+    bit_counts = np.array(bit_counts, dtype=np.int64)
 
+    attacked = config.trent.kind is StrategyKind.ATTACK
+    errors = hits = equal = np.zeros(config.rounds_repeat, dtype=np.int64)
     histogram: Counter[str] = Counter()
-    check_total = check_errors = 0
-    guess_total = guess_hits = 0
-    z_total = z_equal = 0
-    aborts = 0
-    total_rounds = 0
-    session_stats = []
-
-    for session_index in range(config.rounds_repeat):
-        plan_seq, round_seq = np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(session_index,)
-        ).spawn(2)
-        plan_rng = np.random.default_rng(plan_seq)
-        message_bits = plan_rng.integers(0, 2, size=config.message_length)
-        plan = SessionPlan.build(message_bits, config.check_fraction, plan_rng)
-        (
-            n_rounds,
-            n_check,
-            errors,
-            error_rate,
-            aborted,
-            hits,
-            equal,
-            label_counts,
-        ) = _run_session_vectorized(
-            config, plan, np.random.default_rng(round_seq), tables, len(labels)
+    for bit in (0, 1):
+        _, branches = protocol.round_distribution(
+            config.protocol, config.variant, bit, config.trent
         )
-
-        total_rounds += n_rounds
-        aborts += aborted
-        check_total += n_check
-        check_errors += errors
-        for label, count in zip(labels, label_counts):
+        p = np.array([b.probability for b in branches])
+        # cells[session][role][branch]; p sums to 1 only up to rounding
+        cells = rng.multinomial(bit_counts[:, :, bit], p / p.sum())
+        checks = cells[:, 1]
+        # A flip turns a correct check round into an error and a wrong one
+        # into a correct one.
+        flips = rng.binomial(checks, config.noise_probability)
+        wrong = np.array([b.decoded_bit != bit for b in branches])
+        errors = errors + np.where(wrong, checks - flips, flips).sum(axis=1)
+        rounds = cells.sum(axis=1)
+        if attacked:
+            hits = hits + rounds @ np.array([b.adversary_guess == bit for b in branches])
+            z_equal = [b.adversary_raw[0] == b.adversary_raw[1] for b in branches]
+            equal = equal + rounds @ np.array(z_equal)
+        for b, count in zip(branches, rounds.sum(axis=0).tolist()):
             if count:
-                histogram[label] += int(count)
+                histogram[f"{b.trent_announcement.name}/{b.bob_measurement.name}"] += count
 
-        accuracy = equal_frac = None
-        if hits is not None:
-            guess_total += n_rounds
-            guess_hits += hits
-            z_total += n_rounds
-            z_equal += equal
-            accuracy = hits / n_rounds
-            equal_frac = equal / n_rounds
-        session_stats.append(
-            SessionStats(
-                error_rate=error_rate,
-                aborted=aborted,
-                guess_accuracy=accuracy,
-                z_equal_fraction=equal_frac,
-            )
+    session_rounds = bit_counts.sum(axis=(1, 2)).tolist()
+    session_checks = bit_counts[:, 1].sum(axis=1).tolist()
+    error_rates = [e / c for e, c in zip(errors.tolist(), session_checks)]
+    sessions = tuple(
+        SessionStats(
+            error_rate=rate,
+            aborted=rate > config.abort_threshold,
+            guess_accuracy=h / n if attacked else None,
+            z_equal_fraction=q / n if attacked else None,
         )
-
+        for rate, h, q, n in zip(error_rates, hits.tolist(), equal.tolist(), session_rounds)
+    )
+    total_rounds, check_total = sum(session_rounds), sum(session_checks)
+    check_errors, guess_hits = int(errors.sum()), int(hits.sum())
     return RunReport(
         config=config.describe(),
         total_rounds=total_rounds,
         check_rounds=check_total,
-        bob_error_rate=check_errors / check_total if check_total else 0.0,
+        bob_error_rate=check_errors / check_total,
         bob_error_interval=binomial_interval(check_errors, check_total),
-        trent_guess_accuracy=guess_hits / guess_total if guess_total else None,
-        trent_guess_interval=(
-            binomial_interval(guess_hits, guess_total) if guess_total else None
-        ),
-        z_equal_fraction=z_equal / z_total if z_total else None,
-        abort_fraction=aborts / config.rounds_repeat,
+        trent_guess_accuracy=guess_hits / total_rounds if attacked else None,
+        trent_guess_interval=binomial_interval(guess_hits, total_rounds) if attacked else None,
+        z_equal_fraction=int(equal.sum()) / total_rounds if attacked else None,
+        abort_fraction=sum(s.aborted for s in sessions) / config.rounds_repeat,
         histogram=dict(histogram),
-        sessions=tuple(session_stats),
+        sessions=sessions,
         wall_time=time.perf_counter() - start,
     )
 

@@ -100,21 +100,17 @@ class SessionPlan:
         message; positions are sampled without replacement so they stay
         unpredictable until revealed.
         """
-        message_bits = tuple(int(b) for b in message_bits)
+        message_bits = tuple(np.asarray(message_bits, dtype=np.int64).tolist())
         if not message_bits:
             raise ValueError("session needs at least one message bit")
         if not 0.0 < check_fraction < 1.0:
             raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
         n_check = max(1, round(len(message_bits) * check_fraction / (1.0 - check_fraction)))
         total = len(message_bits) + n_check
-        check_bits = tuple(int(b) for b in rng.integers(0, 2, size=n_check))
-        positions = frozenset(
-            int(i) for i in rng.choice(total, size=n_check, replace=False)
-        )
         return cls(
             message_bits=message_bits,
-            check_bits=check_bits,
-            check_positions=positions,
+            check_bits=tuple(rng.integers(0, 2, size=n_check).tolist()),
+            check_positions=frozenset(rng.choice(total, size=n_check, replace=False).tolist()),
             check_fraction=check_fraction,
         )
 

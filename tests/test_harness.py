@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import oracle
-from qsdc import cli
+from fit import binomial_tails, chi2_critical
+from qsdc import cli, harness
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.harness import (
     ConfigError,
@@ -15,7 +16,7 @@ from qsdc.harness import (
     run_experiment,
     verify_identities,
 )
-from qsdc.protocol import EncodingVariant, ProtocolId
+from qsdc.protocol import EncodingVariant, ProtocolId, round_distribution
 
 P1, P2 = ProtocolId.PROTOCOL_1, ProtocolId.PROTOCOL_2
 ORIGINAL, REVISED = EncodingVariant.ORIGINAL, EncodingVariant.REVISED
@@ -156,6 +157,20 @@ class TestDeterminism:
         config = RunConfig(protocol=P1, variant=REVISED, message_length=300, seed=5)
         assert run_experiment(config).to_csv() == run_experiment(config).to_csv()
 
+    def test_csv_deterministic_with_repeats_and_noise(self):
+        config = RunConfig(
+            protocol=P2,
+            variant=ORIGINAL,
+            trent=TrentStrategy.attack(),
+            message_length=200,
+            seed=77,
+            rounds_repeat=5,
+            noise_probability=0.05,
+        )
+        first = run_experiment(config).to_csv()
+        assert first == run_experiment(config).to_csv()
+        assert first.count("\nsession_") == 5
+
 
 class TestStatisticalSoundness:
     def test_sampled_rates_track_exact_values(self):
@@ -179,6 +194,95 @@ class TestStatisticalSoundness:
             if abs(report.trent_guess_accuracy - expected) > 4 * sigma:
                 misses += 1
         assert misses == 0
+
+
+# Pearson chi-square fit of the pooled histogram, one check per config.
+# Message and check bits are uniform and every round is independent, so
+# the histogram is multinomial over the labels with probabilities
+# 0.5 * sum over bits of p_bit(label).
+FIT_CONFIGS = {
+    "p1-revised-honest-noisy": RunConfig(
+        protocol=P1, variant=REVISED, message_length=400, seed=101, rounds_repeat=5,
+        noise_probability=0.05,
+    ),
+    "p1-original-attack": RunConfig(
+        protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(), message_length=300,
+        seed=102, rounds_repeat=4,
+    ),
+    "p2-revised-attack-genuine": RunConfig(
+        protocol=P2, variant=REVISED,
+        trent=TrentStrategy.attack(AnnouncementPolicy.GENUINE_MEASUREMENT),
+        message_length=250, seed=103, rounds_repeat=6,
+    ),
+    "p2-original-attack-noisy": RunConfig(
+        protocol=P2, variant=ORIGINAL, trent=TrentStrategy.attack(), message_length=500,
+        seed=104, rounds_repeat=3, noise_probability=0.2,
+    ),
+}
+# Check-error counts of noisy runs against their exact binomial law, one
+# two-sided check per config.
+ERROR_CONFIGS = {
+    "p2-revised-honest": RunConfig(
+        protocol=P2, variant=REVISED, message_length=2000, seed=105, rounds_repeat=5,
+        noise_probability=0.05,
+    ),
+    "p1-original-attack": RunConfig(
+        protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(), message_length=1000,
+        seed=106, rounds_repeat=4, noise_probability=0.2,
+    ),
+}
+# False-alarm probability of each check.  With 4 + 2 checks, a correct
+# sampler fails this class on an arbitrary seed with probability at most
+# 6e-6.  No check is retried or re-seeded.
+FALSE_ALARM = 1e-6
+
+
+def label_probabilities(config: RunConfig) -> dict[str, float]:
+    probabilities: dict[str, float] = {}
+    for bit in (0, 1):
+        _, branches = round_distribution(config.protocol, config.variant, bit, config.trent)
+        for b in branches:
+            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
+            probabilities[label] = probabilities.get(label, 0.0) + 0.5 * b.probability
+    return probabilities
+
+
+def check_error_probability(config: RunConfig) -> float:
+    """Exact per-round probability that a check bit decodes wrongly after
+    the noise flip."""
+    wrong = sum(
+        0.5 * b.probability
+        for bit in (0, 1)
+        for b in round_distribution(config.protocol, config.variant, bit, config.trent)[1]
+        if b.decoded_bit != bit
+    )
+    q = config.noise_probability
+    return wrong * (1 - q) + (1 - wrong) * q
+
+
+class TestSamplerFit:
+    @pytest.mark.parametrize("name", list(FIT_CONFIGS))
+    def test_histogram_fits_the_exact_distribution(self, name):
+        config = FIT_CONFIGS[name]
+        report = run_experiment(config)
+        probabilities = label_probabilities(config)
+        assert set(report.histogram) <= set(probabilities)
+        labels = sorted(probabilities)
+        counts = np.array([report.histogram.get(label, 0) for label in labels])
+        expected = report.total_rounds * np.array([probabilities[label] for label in labels])
+        assert expected.min() >= 30
+        statistic = float(np.sum((counts - expected) ** 2 / expected))
+        assert statistic < chi2_critical(len(labels) - 1, FALSE_ALARM), statistic
+
+    @pytest.mark.parametrize("name", list(ERROR_CONFIGS))
+    def test_check_errors_follow_their_binomial(self, name):
+        config = ERROR_CONFIGS[name]
+        report = run_experiment(config)
+        n = report.check_rounds
+        assert n == config.rounds_repeat * config.message_length  # check fraction 0.5
+        errors = round(report.bob_error_rate * n)
+        lower, upper = binomial_tails(errors, n, check_error_probability(config))
+        assert min(lower, upper) > FALSE_ALARM / 2, (errors, n * check_error_probability(config))
 
 
 class TestIdentitiesAndTables:
@@ -205,6 +309,24 @@ class TestBinomialInterval:
         assert binomial_interval(0, 100)[0] == 0.0
         assert binomial_interval(100, 100)[1] == 1.0
 
+    def test_wilson_width_is_positive_at_rate_one(self):
+        report = run_experiment(
+            RunConfig(
+                protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(),
+                message_length=500, seed=12,
+            )
+        )
+        assert report.trent_guess_accuracy == 1.0
+        low, high = report.trent_guess_interval
+        assert high == 1.0 and 0.99 < low < 1.0
+        assert type(low) is float and type(high) is float
+
+    def test_matches_wilson_formula(self):
+        # the Wilson interval of 8 successes in 10 trials at z = 1.96
+        low, high = binomial_interval(8, 10)
+        assert low == pytest.approx(0.4902, abs=1e-4)
+        assert high == pytest.approx(0.9433, abs=1e-4)
+
 
 class TestCli:
     def test_run_json_to_stdout(self, capsys):
@@ -215,7 +337,7 @@ class TestCli:
         assert status == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["bob_error_rate"] == 0.0
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == harness.SCHEMA_VERSION
         assert payload["config"]["seed"] == 11
 
     def test_run_csv_to_file(self, tmp_path, capsys):
@@ -256,6 +378,17 @@ class TestCli:
         config.write_text("seed = 1\nbits = 100\nseed = 2\n")
         assert cli.main(["run", "--config", str(config)]) == 2
         assert f"{config}:3: duplicate key 'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not utf-8"])
+    def test_unreadable_config_file_exits_cleanly(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b"seed = \xff\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read config file {path}: ")
 
     def test_unwritable_out_path_exits_cleanly(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "x.json"

@@ -1,10 +1,10 @@
 import functools
-import math
 
 import numpy as np
 import pytest
 
 import oracle
+from fit import chi2_critical
 from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.protocol import (
@@ -230,32 +230,6 @@ class TestRoundDistribution:
                 assert got[key] == pytest.approx(expected[key], abs=1e-9)
 
 
-
-def chi2_survival(x: float, df: int) -> float:
-    """P(X >= x) for X ~ chi-square with integer `df` and x > 0: the
-    regularized upper incomplete gamma function Q(df/2, x/2) in closed
-    form, each term taken in log space so that large df cannot overflow."""
-    y = x / 2.0
-
-    def term(a: float) -> float:  # y^a e^-y / Gamma(a + 1)
-        return math.exp(a * math.log(y) - y - math.lgamma(a + 1))
-
-    if df % 2 == 0:
-        return sum(term(j) for j in range(df // 2))
-    return math.erfc(math.sqrt(y)) + sum(term(j + 0.5) for j in range(df // 2))
-
-
-def chi2_critical(df: int, alpha: float) -> float:
-    """The x with chi2_survival(x, df) == alpha, by bisection."""
-    low, high = 0.0, 1.0
-    while chi2_survival(high, df) > alpha:
-        high *= 2.0
-    for _ in range(100):
-        mid = (low + high) / 2.0
-        low, high = (mid, high) if chi2_survival(mid, df) > alpha else (low, mid)
-    return high
-
-
 def test_chi2_critical_matches_tables():
     # standard table values: 95th percentile for 1, 3 and 100 degrees of
     # freedom, 99.9th for 15
@@ -405,6 +379,17 @@ class TestSessionPlan:
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="check_fraction"):
             SessionPlan.build([0, 1], 1.5, rng())
+
+    def test_fixed_seed_plan_is_pinned(self):
+        # `run_session` transcripts and the harness depend on this stream
+        plan = SessionPlan.build(np.array([1, 0, 1, 1, 0, 1]), 0.5, rng(1))
+        assert plan.message_bits == (1, 0, 1, 1, 0, 1)
+        assert plan.check_bits == (0, 1, 1, 1, 0, 0)
+        assert plan.check_positions == frozenset({2, 3, 5, 7, 9, 11})
+        assert type(plan.message_bits) is tuple and type(plan.check_bits) is tuple
+        assert type(plan.check_positions) is frozenset
+        fields = [*plan.message_bits, *plan.check_bits, *plan.check_positions]
+        assert all(type(x) is int for x in fields)
 
     def test_check_bits_use_given_stream_only(self):
         a = SessionPlan.build([0] * 40, 0.5, rng(5))
