@@ -12,18 +12,20 @@ from .harness import ConfigError, RunConfig
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import ATOL
 
-_CONFIG_KEYS = {
-    "protocol",
-    "variant",
-    "trent",
-    "announcement_policy",
-    "bits",
-    "check_fraction",
-    "threshold",
-    "seed",
-    "repeat",
-    "format",
-    "noise",
+# `run` options: config-file key and flag dest -> (RunConfig field, parser).
+# `trent` and `announcement_policy` together make RunConfig.trent.
+_RUN_OPTIONS = {
+    "protocol": ("protocol", lambda value: ProtocolId(int(value))),
+    "variant": ("variant", EncodingVariant),
+    "trent": ("trent", str),
+    "announcement_policy": ("announcement_policy", AnnouncementPolicy),
+    "bits": ("message_length", int),
+    "check_fraction": ("check_fraction", float),
+    "threshold": ("abort_threshold", float),
+    "seed": ("seed", int),
+    "repeat": ("rounds_repeat", int),
+    "format": ("output_format", str),
+    "noise": ("noise_probability", float),
 }
 
 
@@ -42,7 +44,7 @@ def load_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _RUN_OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -51,53 +53,26 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
+    """Flags override the config file; an option set by neither keeps
+    RunConfig's default."""
     values = load_config_file(args.config) if args.config else {}
-    # Flags override the config file.
-    for key, flag in [
-        ("protocol", args.protocol),
-        ("variant", args.variant),
-        ("trent", args.trent),
-        ("announcement_policy", args.announcement_policy),
-        ("bits", args.bits),
-        ("check_fraction", args.check_fraction),
-        ("threshold", args.threshold),
-        ("seed", args.seed),
-        ("repeat", args.repeat),
-        ("format", args.format),
-        ("noise", args.noise),
-    ]:
-        if flag is not None:
+    for key, flag in vars(args).items():
+        if key in _RUN_OPTIONS and flag is not None:
             values[key] = str(flag)
-
-    try:
-        policy = (
-            AnnouncementPolicy(values["announcement_policy"])
-            if "announcement_policy" in values
-            else None
-        )
-        trent_kind = values.get("trent", "honest")
-        if trent_kind == "honest":
-            trent = TrentStrategy.honest()
-        elif trent_kind == "attack":
-            trent = TrentStrategy.attack(policy)
-        else:
-            raise ConfigError(f"trent must be 'honest' or 'attack', got {trent_kind!r}")
-        return RunConfig(
-            protocol=ProtocolId(int(values.get("protocol", 1))),
-            variant=EncodingVariant(values.get("variant", "revised")),
-            trent=trent,
-            message_length=int(values.get("bits", 1000)),
-            check_fraction=float(values.get("check_fraction", 0.5)),
-            abort_threshold=float(values.get("threshold", 0.02)),
-            seed=int(values.get("seed", 0)),
-            rounds_repeat=int(values.get("repeat", 1)),
-            output_format=values.get("format", "json"),
-            noise_probability=float(values.get("noise", 0.0)),
-        )
-    except (KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    fields = {}
+    for key, value in values.items():
+        field, parse = _RUN_OPTIONS[key]
+        try:
+            fields[field] = parse(value)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    policy = fields.pop("announcement_policy", None)
+    trent_kind = fields.pop("trent", "honest")
+    if trent_kind == "attack":
+        fields["trent"] = TrentStrategy.attack(policy)
+    elif trent_kind != "honest":
+        raise ConfigError(f"trent must be 'honest' or 'attack', got {trent_kind!r}")
+    return RunConfig(**fields)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -151,7 +126,7 @@ def make_parser() -> argparse.ArgumentParser:
         help="what an attacking Trent announces (defaults per protocol)",
     )
     run.add_argument("--bits", type=int, help="message length in bits")
-    run.add_argument("--check-fraction", type=float, dest="check_fraction")
+    run.add_argument("--check-fraction", type=float)
     run.add_argument("--threshold", type=float, help="abort threshold on check error rate")
     run.add_argument("--seed", type=int)
     run.add_argument("--repeat", type=int, help="number of independent sessions")

@@ -185,8 +185,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     for _ in range(config.rounds_repeat):
         message_bits = rng.integers(0, 2, size=config.message_length)
         plan = SessionPlan.build(message_bits, config.check_fraction, rng)
-        m1, c1 = int(np.count_nonzero(message_bits)), sum(plan.check_bits)
-        bit_counts.append([(config.message_length - m1, m1), (len(plan.check_bits) - c1, c1)])
+        m1, n_check = np.count_nonzero(message_bits), np.count_nonzero(plan.is_check)
+        c1 = np.count_nonzero(plan.bits) - m1
+        bit_counts.append([(config.message_length - m1, m1), (n_check - c1, c1)])
     bit_counts = np.array(bit_counts, dtype=np.int64)
 
     attacked = config.trent.kind is StrategyKind.ATTACK

@@ -79,40 +79,43 @@ class RoundTranscript:
             raise ValueError(f"{self.protocol} has Bob record {meas_type.__name__} outcomes")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SessionPlan:
-    """Message bits plus interleaved check bits at secret random positions."""
+    """The rounds of one session, in order: round i carries `bits[i]`
+    (int8) and is a check round when `is_check[i]` (bool).  Check rounds
+    sit at secret random positions among the message rounds.  Both
+    arrays are read-only."""
 
-    message_bits: tuple[int, ...]
-    check_bits: tuple[int, ...]
-    check_positions: frozenset[int]
-    check_fraction: float
-
-    @property
-    def num_rounds(self) -> int:
-        return len(self.message_bits) + len(self.check_bits)
+    bits: np.ndarray
+    is_check: np.ndarray
 
     @classmethod
     def build(cls, message_bits, check_fraction: float, rng) -> "SessionPlan":
-        """Draw check bits and positions from a dedicated random stream.
+        """Draw the check bits, then their positions, from `rng`.
 
         The check bits are independent uniform bits, uncorrelated with the
         message; positions are sampled without replacement so they stay
-        unpredictable until revealed.
+        unpredictable until revealed.  The check bits fill the check
+        positions in ascending order and the message bits, a 1-D sequence
+        of integers 0 and 1, fill the rest in order.
         """
-        message_bits = tuple(np.asarray(message_bits, dtype=np.int64).tolist())
-        if not message_bits:
+        message = np.asarray(message_bits)
+        if not message.size:
             raise ValueError("session needs at least one message bit")
+        if message.ndim != 1 or message.dtype.kind not in "biu" or np.count_nonzero(message >> 1):
+            raise ValueError("message bits must be a 1-D sequence of integers 0 and 1")
         if not 0.0 < check_fraction < 1.0:
             raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
-        n_check = max(1, round(len(message_bits) * check_fraction / (1.0 - check_fraction)))
-        total = len(message_bits) + n_check
-        return cls(
-            message_bits=message_bits,
-            check_bits=tuple(rng.integers(0, 2, size=n_check).tolist()),
-            check_positions=frozenset(rng.choice(total, size=n_check, replace=False).tolist()),
-            check_fraction=check_fraction,
-        )
+        n_check = max(1, round(message.size * check_fraction / (1.0 - check_fraction)))
+        total = message.size + n_check
+        check_bits = rng.integers(0, 2, size=n_check)
+        is_check = np.zeros(total, dtype=bool)
+        is_check[rng.choice(total, size=n_check, replace=False)] = True
+        bits = np.empty(total, dtype=np.int8)
+        bits[is_check] = check_bits
+        bits[~is_check] = message
+        bits.flags.writeable = is_check.flags.writeable = False
+        return cls(bits=bits, is_check=is_check)
 
 
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
@@ -286,21 +289,19 @@ def run_session(
     abort_threshold: float = 0.02,
     noise_probability: float = 0.0,
 ) -> tuple[list[RoundTranscript], float, bool]:
-    """Run one round per planned bit and evaluate the check-bit error rate.
+    """Play out the plan's rounds in order and evaluate the check-bit error rate.
 
     `noise_probability` is an optional classical channel-noise knob: each
     decoded bit is independently flipped with that probability, exercising
     the abort path without touching the quantum model.
     """
-    if plan.num_rounds == 0:
+    if not plan.bits.size:
         raise ValueError("empty session plan")
+    if plan.bits.shape != plan.is_check.shape:
+        raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
 
     transcripts = []
-    message_iter = iter(plan.message_bits)
-    check_iter = iter(plan.check_bits)
-    for index in range(plan.num_rounds):
-        is_check = index in plan.check_positions
-        bit = next(check_iter) if is_check else next(message_iter)
+    for bit, is_check in zip(plan.bits.tolist(), plan.is_check.tolist()):
         transcript = run_round(protocol, variant, bit, trent, rng, is_check_bit=is_check)
         if noise_probability > 0.0 and rng.random() < noise_probability:
             transcript = dataclasses.replace(transcript, decoded_bit=1 - transcript.decoded_bit)

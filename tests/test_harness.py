@@ -363,6 +363,20 @@ class TestCli:
         assert payload["config"]["seed"] == 7  # flag wins
         assert payload["trent_guess_accuracy"] == 1.0
 
+    def test_run_without_flags_builds_the_default_config(self):
+        args = cli.make_parser().parse_args(["run"])
+        assert cli.build_run_config(args) == RunConfig()
+
+    @pytest.mark.parametrize(
+        "line", ["trent = spy", "announcement_policy = loud", "protocol = 3", "bits = many"]
+    )
+    def test_invalid_config_file_value_exits_cleanly(self, tmp_path, capsys, line):
+        # an invalid policy is an error even when Trent is honest
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     def test_bad_config_value_exits_nonzero(self, capsys):
         status = cli.main(["run", "--bits", "-5"])
         assert status == 2

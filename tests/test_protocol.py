@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle
-from fit import chi2_critical
+from fit import binomial_tails, chi2_critical
 from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.protocol import (
@@ -362,15 +362,13 @@ class TestCorrespondenceTables:
 class TestSessionPlan:
     def test_build_counts(self):
         plan = SessionPlan.build([0, 1] * 50, 0.5, rng())
-        assert len(plan.check_bits) == 100
-        assert plan.num_rounds == 200
-        assert len(plan.check_positions) == 100
-        assert all(0 <= i < 200 for i in plan.check_positions)
+        assert plan.bits.shape == plan.is_check.shape == (200,)
+        assert np.count_nonzero(plan.is_check) == 100
 
     def test_uneven_fraction(self):
         plan = SessionPlan.build([1] * 90, 0.1, rng())
-        assert len(plan.check_bits) == 10
-        assert plan.num_rounds == 100
+        assert np.count_nonzero(plan.is_check) == 10
+        assert plan.bits.size == 100
 
     def test_empty_message_rejected(self):
         with pytest.raises(ValueError, match="message bit"):
@@ -380,23 +378,42 @@ class TestSessionPlan:
         with pytest.raises(ValueError, match="check_fraction"):
             SessionPlan.build([0, 1], 1.5, rng())
 
+    @pytest.mark.parametrize(
+        "message,accepted",
+        [
+            ([0.5, 1.7], False),
+            ([2, 1], False),
+            ([0, -1], False),
+            (np.array([256, 1]), False),  # would wrap to 0 in int8
+            (np.array([255, 1], dtype=np.uint8), False),
+            ([[1, 0], [0, 1]], False),
+            (["1", "0"], False),
+            (np.array([True, False]), True),
+            (np.array([1, 0], dtype=np.uint8), True),
+        ],
+    )
+    def test_message_bits_must_be_zero_or_one(self, message, accepted):
+        if accepted:
+            plan = SessionPlan.build(message, 0.5, rng())
+            assert plan.bits[~plan.is_check].tolist() == [1, 0]
+        else:
+            with pytest.raises(ValueError, match="message bits must be"):
+                SessionPlan.build(message, 0.5, rng())
+
     def test_fixed_seed_plan_is_pinned(self):
         # `run_session` transcripts and the harness depend on this stream
         plan = SessionPlan.build(np.array([1, 0, 1, 1, 0, 1]), 0.5, rng(1))
-        assert plan.message_bits == (1, 0, 1, 1, 0, 1)
-        assert plan.check_bits == (0, 1, 1, 1, 0, 0)
-        assert plan.check_positions == frozenset({2, 3, 5, 7, 9, 11})
-        assert type(plan.message_bits) is tuple and type(plan.check_bits) is tuple
-        assert type(plan.check_positions) is frozenset
-        fields = [*plan.message_bits, *plan.check_bits, *plan.check_positions]
-        assert all(type(x) is int for x in fields)
+        assert plan.bits.tolist() == [1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0]
+        assert np.flatnonzero(plan.is_check).tolist() == [2, 3, 5, 7, 9, 11]
+        assert plan.bits.dtype == np.int8 and plan.is_check.dtype == bool
+        assert not plan.bits.flags.writeable and not plan.is_check.flags.writeable
 
     def test_check_bits_use_given_stream_only(self):
         a = SessionPlan.build([0] * 40, 0.5, rng(5))
         b = SessionPlan.build([1] * 40, 0.5, rng(5))
         # same stream, different messages: identical check bits and positions
-        assert a.check_bits == b.check_bits
-        assert a.check_positions == b.check_positions
+        assert np.array_equal(a.is_check, b.is_check)
+        assert np.array_equal(a.bits[a.is_check], b.bits[b.is_check])
 
 
 class TestRunSession:
@@ -411,6 +428,12 @@ class TestRunSession:
         assert error_rate == 0.0
         assert not abort
         assert extract_message(transcripts, abort) == message
+
+    @pytest.mark.parametrize("bits,is_check", [([], []), ([0, 1, 1], [True])])
+    def test_malformed_plan_rejected(self, bits, is_check):
+        plan = SessionPlan(bits=np.array(bits, dtype=np.int8), is_check=np.array(is_check, dtype=bool))
+        with pytest.raises(ValueError, match="plan"):
+            run_session(P1, REVISED, plan, TrentStrategy.honest(), rng())
 
     def test_message_withheld_on_abort(self):
         assert extract_message([], True) is None
@@ -447,11 +470,74 @@ class TestRunSession:
         message = [1, 0, 1, 1, 0, 0, 1, 0]
         plan = SessionPlan.build(message, 0.5, generator)
         transcripts, _, _ = run_session(P1, REVISED, plan, TrentStrategy.honest(), generator)
-        assert len(transcripts) == plan.num_rounds
-        sent_checks = [t.sent_bit for t in transcripts if t.is_check_bit]
+        assert [t.sent_bit for t in transcripts] == plan.bits.tolist()
+        assert [t.is_check_bit for t in transcripts] == plan.is_check.tolist()
+        assert all(type(t.sent_bit) is int and type(t.is_check_bit) is bool for t in transcripts)
         sent_message = [t.sent_bit for t in transcripts if not t.is_check_bit]
-        assert tuple(sent_checks) == plan.check_bits
         assert sent_message == message
+
+
+SESSION_FIT_CONFIGS = {
+    "p2-revised-honest": (P2, REVISED, TrentStrategy.honest(), 0.05, 41),
+    "p1-original-attack": (P1, ORIGINAL, TrentStrategy.attack(), 0.2, 42),
+}
+SESSION_BITS = 1000  # plus as many check rounds: >= 60 expected per branch
+
+
+@functools.cache
+def session_branches(name: str) -> tuple[list[tuple[RoundTranscript, int]], dict]:
+    """The transcripts of one fixed-seed noisy `run_session`, each with
+    the index of its branch in the sent bit's `round_distribution`, and
+    those branch tables by bit."""
+    protocol, variant, trent, noise, seed = SESSION_FIT_CONFIGS[name]
+    generator = rng(seed)
+    plan = SessionPlan.build(generator.integers(0, 2, SESSION_BITS), 0.5, generator)
+    transcripts, _, _ = run_session(
+        protocol, variant, plan, trent, generator, noise_probability=noise
+    )
+    tables = {bit: round_distribution(protocol, variant, bit, trent)[1] for bit in (0, 1)}
+    index = {
+        bit: {
+            (b.trent_announcement, b.bob_measurement, b.adversary_raw): i
+            for i, b in enumerate(branches)
+        }
+        for bit, branches in tables.items()
+    }
+    rows = []
+    for t in transcripts:
+        key = (t.trent_announcement, t.bob_measurement, t.adversary_raw)
+        assert key in index[t.sent_bit], key
+        rows.append((t, index[t.sent_bit][key]))
+    return rows, tables
+
+
+class TestSessionFit:
+    """`run_session` against the exact branch table: a Pearson chi-square
+    of the branch counts per sent bit, and an exact binomial test of the
+    decodes that the noise knob flipped.  Both sessions are noisy, one
+    attacked.  Each of the 2 x (2 + 1) checks has false-alarm probability
+    FALSE_ALARM, so a correct `run_session` fails this class on an
+    arbitrary seed with probability at most 6e-6.  No check is retried or
+    re-seeded."""
+
+    @pytest.mark.parametrize("bit", (0, 1))
+    @pytest.mark.parametrize("name", list(SESSION_FIT_CONFIGS))
+    def test_branches_fit_the_exact_distribution(self, name, bit):
+        rows, tables = session_branches(name)
+        branches = tables[bit]
+        counts = np.bincount([i for t, i in rows if t.sent_bit == bit], minlength=len(branches))
+        expected = counts.sum() * np.array([b.probability for b in branches])
+        assert expected.min() >= 30
+        statistic = float(np.sum((counts - expected) ** 2 / expected))
+        assert statistic < chi2_critical(len(branches) - 1, FALSE_ALARM), statistic
+
+    @pytest.mark.parametrize("name", list(SESSION_FIT_CONFIGS))
+    def test_noise_flips_follow_their_binomial(self, name):
+        rows, tables = session_branches(name)
+        noise = SESSION_FIT_CONFIGS[name][3]
+        flips = sum(t.decoded_bit != tables[t.sent_bit][i].decoded_bit for t, i in rows)
+        lower, upper = binomial_tails(flips, len(rows), noise)
+        assert min(lower, upper) > FALSE_ALARM / 2, (flips, len(rows) * noise)
 
 
 class TestTranscriptValidation:
