@@ -12,20 +12,26 @@ from .harness import ConfigError, RunConfig
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import ATOL
 
-# `run` options: config-file key and flag dest -> (RunConfig field, parser).
-# `trent` and `announcement_policy` together make RunConfig.trent.
+# `run` options: config-file key -> (RunConfig field, parser, help).  Each
+# also makes the flag `--` + key with `_` -> `-`; flag and file values are
+# the same strings, parsed once.  `trent` and `announcement_policy`
+# together make RunConfig.trent.
 _RUN_OPTIONS = {
-    "protocol": ("protocol", lambda value: ProtocolId(int(value))),
-    "variant": ("variant", EncodingVariant),
-    "trent": ("trent", str),
-    "announcement_policy": ("announcement_policy", AnnouncementPolicy),
-    "bits": ("message_length", int),
-    "check_fraction": ("check_fraction", float),
-    "threshold": ("abort_threshold", float),
-    "seed": ("seed", int),
-    "repeat": ("rounds_repeat", int),
-    "format": ("output_format", str),
-    "noise": ("noise_probability", float),
+    "protocol": ("protocol", lambda value: ProtocolId(int(value)), "1 or 2"),
+    "variant": ("variant", EncodingVariant, "original or revised"),
+    "trent": ("trent", str, "honest or attack"),
+    "announcement_policy": (
+        "announcement_policy",
+        AnnouncementPolicy,
+        "what an attacking Trent announces: genuine or uniform (defaults per protocol)",
+    ),
+    "bits": ("message_length", int, "message length in bits, a positive integer"),
+    "check_fraction": ("check_fraction", float, "check rounds' share of all rounds, in (0,1)"),
+    "threshold": ("abort_threshold", float, "abort threshold on check error rate, in [0,1]"),
+    "seed": ("seed", int, "generator seed, an integer in [0, 2**64)"),
+    "repeat": ("rounds_repeat", int, "number of independent sessions, a positive integer"),
+    "format": ("output_format", str, "report format: json or csv"),
+    "noise": ("noise_probability", float, "classical bit-flip probability on decoded bits, in [0,1]"),
 }
 
 
@@ -58,10 +64,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     values = load_config_file(args.config) if args.config else {}
     for key, flag in vars(args).items():
         if key in _RUN_OPTIONS and flag is not None:
-            values[key] = str(flag)
+            values[key] = flag
     fields = {}
     for key, value in values.items():
-        field, parse = _RUN_OPTIONS[key]
+        field, parse, _ = _RUN_OPTIONS[key]
         try:
             fields[field] = parse(value)
         except ValueError as exc:
@@ -117,21 +123,8 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a seeded Monte Carlo experiment")
-    run.add_argument("--protocol", type=int, choices=(1, 2))
-    run.add_argument("--variant", choices=("original", "revised"))
-    run.add_argument("--trent", choices=("honest", "attack"))
-    run.add_argument(
-        "--announcement-policy",
-        choices=("genuine", "uniform"),
-        help="what an attacking Trent announces (defaults per protocol)",
-    )
-    run.add_argument("--bits", type=int, help="message length in bits")
-    run.add_argument("--check-fraction", type=float)
-    run.add_argument("--threshold", type=float, help="abort threshold on check error rate")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--repeat", type=int, help="number of independent sessions")
-    run.add_argument("--format", choices=("json", "csv"))
-    run.add_argument("--noise", type=float, help="classical bit-flip probability on decoded bits")
+    for key, (_, _, help_text) in _RUN_OPTIONS.items():
+        run.add_argument("--" + key.replace("_", "-"), help=help_text)
     run.add_argument("--config", help="key=value config file; flags override it")
     run.add_argument("--out", help="write the report here instead of stdout")
     run.set_defaults(func=cmd_run)

@@ -16,7 +16,7 @@ import numpy as np
 from . import adversary, protocol, qsim
 from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from .protocol import EncodingVariant, ProtocolId, SessionPlan
-from .qsim import BellOutcome, Gate, StateVector, XOutcome
+from .qsim import BellOutcome, StateVector, XOutcome
 
 SCHEMA_VERSION = 2
 
@@ -251,47 +251,19 @@ _PLUS, _MINUS = XOutcome.PLUS, XOutcome.MINUS
 _PHI_P, _PHI_M = BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS
 _PSI_P, _PSI_M = BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS
 
-_AB_PAIR = (adversary.QUBIT_A, adversary.QUBIT_B)
-_AT_PAIR = (adversary.QUBIT_A, adversary.QUBIT_T)
-
-# Gate sequences on qubit A (applied left to right) per identity.
-_H = (Gate.HADAMARD,)
-_HX = (Gate.PAULI_X, Gate.HADAMARD)
-_HZ = (Gate.PAULI_Z, Gate.HADAMARD)
-_HH = (Gate.HADAMARD, Gate.HADAMARD)
-_HHX = (Gate.PAULI_X, Gate.HADAMARD, Gate.HADAMARD)
-_HHZ = (Gate.PAULI_Z, Gate.HADAMARD, Gate.HADAMARD)
-
-# Right-hand sides: either a computational superposition (index -> coeff)
-# or a Bell/X product expansion 0.5 * sum coeff |bell>_pair |x>_single.
-_GHZ_PLUS = {0: 1, 7: 1}
-_GHZ_MINUS = {0: 1, 7: -1}
-_FLIPPED = {4: 1, 3: 1}
-
-_BIT0_EXPANSION = [(1, _PHI_P, _MINUS), (-1, _PSI_M, _MINUS), (1, _PHI_M, _PLUS), (1, _PSI_P, _PLUS)]
-_X1_EXPANSION = [(1, _PHI_M, _MINUS), (-1, _PSI_P, _MINUS), (1, _PHI_P, _PLUS), (1, _PSI_M, _PLUS)]
-_Z1_EXPANSION = [(1, _PHI_M, _MINUS), (1, _PSI_P, _MINUS), (1, _PHI_P, _PLUS), (-1, _PSI_M, _PLUS)]
-
-# (identity id, gate sequence, pair or None, expansion / computational form).
-# Identity 13 is taken in its (A,T)-paired form matching the round structure.
-_IDENTITIES = [
-    ("eq1", _H, _AB_PAIR, _BIT0_EXPANSION),
-    ("eq2", _HX, _AB_PAIR, _X1_EXPANSION),
-    ("eq3", _HH, None, _GHZ_PLUS),
-    ("eq4", _HHX, None, _FLIPPED),
-    ("eq5", _H, _AB_PAIR, _BIT0_EXPANSION),
-    ("eq6", _HZ, _AB_PAIR, _Z1_EXPANSION),
-    ("eq7", _HH, None, _GHZ_PLUS),
-    ("eq8", _HHZ, None, _GHZ_MINUS),
-    ("eq9", _H, _AT_PAIR, _BIT0_EXPANSION),
-    ("eq10", _HX, _AT_PAIR, _X1_EXPANSION),
-    ("eq11", _HH, None, _GHZ_PLUS),
-    ("eq12", _HHX, None, _FLIPPED),
-    ("eq13", _H, _AT_PAIR, _BIT0_EXPANSION),
-    ("eq14", _HZ, _AT_PAIR, _Z1_EXPANSION),
-    ("eq15", _HH, None, _GHZ_PLUS),
-    ("eq16", _HHZ, None, _GHZ_MINUS),
-]
+# The paper's right-hand sides per (encoding, bit): the encoded triple as
+# a Bell/X expansion 0.5 * sum coeff |bell>_pair |x>_single, and the
+# triple after Trent's attack gates as a computational superposition
+# (index -> coeff).
+_BIT0 = [(1, _PHI_P, _MINUS), (-1, _PSI_M, _MINUS), (1, _PHI_M, _PLUS), (1, _PSI_P, _PLUS)], {0: 1, 7: 1}
+_X1 = [(1, _PHI_M, _MINUS), (-1, _PSI_P, _MINUS), (1, _PHI_P, _PLUS), (1, _PSI_M, _PLUS)], {4: 1, 3: 1}
+_Z1 = [(1, _PHI_M, _MINUS), (1, _PSI_P, _MINUS), (1, _PHI_P, _PLUS), (-1, _PSI_M, _PLUS)], {0: 1, 7: -1}
+_RIGHT_SIDES = {
+    (EncodingVariant.ORIGINAL, 0): _BIT0,
+    (EncodingVariant.ORIGINAL, 1): _X1,
+    (EncodingVariant.REVISED, 0): _BIT0,
+    (EncodingVariant.REVISED, 1): _Z1,
+}
 
 
 def assemble_pair_single(terms, pair, single_qubit) -> StateVector:
@@ -315,21 +287,35 @@ def assemble_computational(coeffs: dict[int, complex]) -> StateVector:
     return StateVector(num_qubits=3, amplitudes=amps)
 
 
+def _after_attack_gates(state: StateVector) -> StateVector:
+    """`state` after the gate steps of Trent's attack."""
+    for step in adversary.ATTACK_STEPS:
+        if step[0] == "gate":
+            state = qsim.apply_gate(state, step[1], step[2])
+    return state
+
+
 def verify_identities() -> list[tuple[str, float]]:
-    """Check every decomposition identity: left side built by gate
-    application, right side by explicit amplitude assembly.  Returns
-    (identity id, residual 1 - fidelity) pairs."""
+    """Check the paper's sixteen identities against the package's own
+    round: `protocol.encode_bit` on a fresh GHZ triple, expanded over the
+    pair of the Bell step in the honest `protocol.schedule` (A, B in
+    protocol 1, A, T in protocol 2), and that triple after the gate steps
+    of `adversary.ATTACK_STEPS`.  Right sides are assembled amplitude by
+    amplitude.  eq1..eq16 run protocol 1 then 2, original then revised;
+    within each, the pair form of bit 0 and 1, then the attacked form of
+    bit 0 and 1.  Returns (identity id, residual 1 - fidelity) pairs."""
     results = []
-    for eq_id, gates, pair, rhs in _IDENTITIES:
-        lhs = qsim.make_ghz()
-        for gate in gates:
-            lhs = qsim.apply_gate(lhs, gate, adversary.QUBIT_A)
-        if pair is None:
-            expected = assemble_computational(rhs)
-        else:
-            single = ({0, 1, 2} - set(pair)).pop()
-            expected = assemble_pair_single(rhs, pair, single)
-        results.append((eq_id, 1.0 - qsim.fidelity(lhs, expected)))
+    for p in ProtocolId:
+        steps = protocol.schedule(p, TrentStrategy.honest())
+        pair = next(step[3] for step in steps if step[0] == "measure" and step[2] == "bell")
+        single = ({0, 1, 2} - set(pair)).pop()
+        for v in EncodingVariant:
+            lhs = [protocol.encode_bit(v, bit, qsim.make_ghz()) for bit in (0, 1)]
+            lhs += [_after_attack_gates(state) for state in lhs]
+            rhs = [assemble_pair_single(_RIGHT_SIDES[v, bit][0], pair, single) for bit in (0, 1)]
+            rhs += [assemble_computational(_RIGHT_SIDES[v, bit][1]) for bit in (0, 1)]
+            for left, right in zip(lhs, rhs):
+                results.append((f"eq{len(results) + 1}", 1.0 - qsim.fidelity(left, right)))
     return results
 
 

@@ -293,12 +293,13 @@ def run_session(
 
     `noise_probability` is an optional classical channel-noise knob: each
     decoded bit is independently flipped with that probability, exercising
-    the abort path without touching the quantum model.
+    the abort path without touching the quantum model.  A plan without
+    check rounds is rejected: it would pass unchecked.
     """
-    if not plan.bits.size:
-        raise ValueError("empty session plan")
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
+    if not plan.is_check.any():
+        raise ValueError("session plan has no check rounds")
 
     transcripts = []
     for bit, is_check in zip(plan.bits.tolist(), plan.is_check.tolist()):
@@ -309,7 +310,7 @@ def run_session(
 
     checks = [t for t in transcripts if t.is_check_bit]
     errors = sum(t.decoded_bit != t.sent_bit for t in checks)
-    error_rate = errors / len(checks) if checks else 0.0
+    error_rate = errors / len(checks)
     abort = error_rate > abort_threshold
     return transcripts, error_rate, abort
 

@@ -4,9 +4,10 @@ amplitude by amplitude."""
 import numpy as np
 import pytest
 
-from qsdc import harness, qsim
+from qsdc import adversary, protocol, qsim
+from qsdc.adversary import QUBIT_A, QUBIT_T, TrentStrategy
 from qsdc.harness import assemble_computational, assemble_pair_single, verify_identities
-from qsdc.protocol import EncodingVariant, encode_bit
+from qsdc.protocol import EncodingVariant, ProtocolId, encode_bit
 from qsdc.qsim import ATOL, BellOutcome, Gate, XOutcome, fidelity, make_ghz
 
 
@@ -69,9 +70,35 @@ def test_variants_agree_for_bit0():
 
 
 def test_corrected_pairing_uses_alice_trent_pair():
-    # the bit-0 decomposition over the (A,T) pair with Bob's qubit single
-    # must reproduce the same encoded state as the (A,B)-paired form
-    entry = [e for e in harness._IDENTITIES if e[0] == "eq13"][0]
-    _, gates, pair, _ = entry
-    assert pair == (0, 1)
-    assert gates == (Gate.HADAMARD,)
+    # in protocol 2 Trent Bell-measures (A,T), so the bit-0 decomposition
+    # is taken over that pair with Bob's qubit single
+    steps = protocol.schedule(ProtocolId.PROTOCOL_2, TrentStrategy.honest())
+    bell_pairs = [step[3] for step in steps if step[0] == "measure" and step[2] == "bell"]
+    assert bell_pairs == [(QUBIT_A, QUBIT_T)]
+    assert dict(verify_identities())["eq13"] < ATOL
+
+
+def _failing_identities():
+    return [eq_id for eq_id, residual in verify_identities() if residual >= ATOL]
+
+
+def test_verify_reads_the_encoding_rules(monkeypatch):
+    # revised bit 1 swapped to X-then-H must break exactly the revised
+    # bit-1 identities of both protocols
+    monkeypatch.setitem(
+        protocol.ENCODING_RULES[EncodingVariant.REVISED], 1, (Gate.PAULI_X, Gate.HADAMARD)
+    )
+    assert _failing_identities() == ["eq6", "eq8", "eq14", "eq16"]
+
+
+def test_verify_reads_the_attack_steps(monkeypatch):
+    # with the attack's Hadamard replaced by the identity, exactly the
+    # attacked forms must break
+    gate_free = tuple(
+        ("gate", Gate.IDENTITY, step[2]) if step[0] == "gate" else step
+        for step in adversary.ATTACK_STEPS
+    )
+    monkeypatch.setattr(adversary, "ATTACK_STEPS", gate_free)
+    assert _failing_identities() == [
+        "eq3", "eq4", "eq7", "eq8", "eq11", "eq12", "eq15", "eq16"
+    ]

@@ -377,10 +377,16 @@ class TestCli:
         assert cli.main(["run", "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
 
-    def test_bad_config_value_exits_nonzero(self, capsys):
-        status = cli.main(["run", "--bits", "-5"])
-        assert status == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag",
+        [["--bits", "-5"], ["--protocol", "3"], ["--variant", "x"], ["--trent", "spy"],
+         ["--bits", "many"]],
+        ids=" ".join,
+    )
+    def test_bad_config_value_exits_nonzero(self, capsys, flag):
+        # flag values go through the same parsers as config-file values
+        assert cli.main(["run", *flag]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

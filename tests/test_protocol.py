@@ -429,7 +429,9 @@ class TestRunSession:
         assert not abort
         assert extract_message(transcripts, abort) == message
 
-    @pytest.mark.parametrize("bits,is_check", [([], []), ([0, 1, 1], [True])])
+    @pytest.mark.parametrize(
+        "bits,is_check", [([], []), ([0, 1, 1], [True]), ([0, 1, 1], [False, False, False])]
+    )
     def test_malformed_plan_rejected(self, bits, is_check):
         plan = SessionPlan(bits=np.array(bits, dtype=np.int8), is_check=np.array(is_check, dtype=bool))
         with pytest.raises(ValueError, match="plan"):
