@@ -129,19 +129,17 @@ def honest_p1_announcement(state: StateVector, rng) -> tuple[XOutcome, StateVect
     return qsim.measure_x(state, QUBIT_T, rng)
 
 
-def attack_metrics(transcripts) -> tuple[float, float, float]:
+def attack_metrics(transcripts) -> tuple[float, float | None, float]:
     """Summarize attacked rounds.
 
-    Returns (guess_accuracy, bob_error_rate, z_equal_fraction) where the
-    error rate is taken over check rounds only and the other two over all
+    Returns (guess_accuracy, bob_error_rate, z_equal_fraction): the error
+    rate over check rounds only (None without any), the other two over all
     rounds carrying an adversary record.
     """
     transcripts = list(transcripts)
-    if not transcripts:
-        raise ValueError("attack_metrics needs at least one transcript")
     guessed = [t for t in transcripts if t.adversary_guess is not None]
     if not guessed:
-        raise ValueError("no transcript carries an adversary guess")
+        raise ValueError("attack_metrics needs at least one transcript with an adversary guess")
     guess_accuracy = sum(
         t.adversary_guess == t.sent_bit for t in guessed
     ) / len(guessed)
@@ -152,5 +150,5 @@ def attack_metrics(transcripts) -> tuple[float, float, float]:
     if checks:
         bob_error_rate = sum(t.decoded_bit != t.sent_bit for t in checks) / len(checks)
     else:
-        bob_error_rate = 0.0
+        bob_error_rate = None
     return guess_accuracy, bob_error_rate, z_equal_fraction

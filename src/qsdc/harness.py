@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adversary, protocol, qsim
-from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
-from .protocol import EncodingVariant, ProtocolId, SessionPlan
+from .adversary import StrategyKind, TrentStrategy
+from .protocol import EncodingVariant, ProtocolId
 from .qsim import BellOutcome, StateVector, XOutcome
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -47,8 +47,10 @@ class RunConfig:
                 object.__setattr__(self, name, int(value))
         if type(self.message_length) is not int or self.message_length < 1:
             raise ConfigError(f"message_length must be a positive integer, got {self.message_length}")
-        if not 0.0 < self.check_fraction < 1.0:
-            raise ConfigError(f"check_fraction must lie in (0,1), got {self.check_fraction}")
+        try:
+            protocol.check_round_count(self.message_length, self.check_fraction)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ConfigError(f"abort_threshold must lie in [0,1], got {self.abort_threshold}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
@@ -169,26 +171,22 @@ def binomial_interval(successes: int, trials: int) -> tuple[float, float]:
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute `rounds_repeat` seeded sessions and aggregate their metrics.
 
-    Rounds are independent given their bit, and every reported number is
-    a sum over (session, role, bit, branch) counts, so no round is
-    materialized.  One generator seeded with `config.seed` serves the
-    whole run.  Each session draws its message bits and its
-    `SessionPlan`, which fix how many message and check rounds carry each
-    bit.  Then, for all sessions at once, the branch counts of each
-    (role, bit) are drawn from the multinomial over that bit's exact
-    branch distribution, and the noise flips of each check count from a
-    binomial.  A report is bit-identical across runs with the same config.
+    Every reported number is a sum over (session, role, bit, branch)
+    counts and rounds are independent given their bit, so no round,
+    message or `SessionPlan` is materialized.  One generator seeded with
+    `config.seed` draws, for all sessions at once, how many of each
+    session's message and check rounds (`protocol.check_round_count`)
+    carry each bit, a two-cell multinomial, i.e. Binomial(rounds, 1/2);
+    then each (role, bit)'s branch counts from the multinomial over that
+    bit's exact branch distribution, and each check count's noise flips
+    from a binomial.  Same config, same report bytes.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    bit_counts = []  # [session][role][bit]; role 0 = message, 1 = check
-    for _ in range(config.rounds_repeat):
-        message_bits = rng.integers(0, 2, size=config.message_length)
-        plan = SessionPlan.build(message_bits, config.check_fraction, rng)
-        m1, n_check = np.count_nonzero(message_bits), np.count_nonzero(plan.is_check)
-        c1 = np.count_nonzero(plan.bits) - m1
-        bit_counts.append([(config.message_length - m1, m1), (n_check - c1, c1)])
-    bit_counts = np.array(bit_counts, dtype=np.int64)
+    n_message = config.message_length
+    n_check = protocol.check_round_count(n_message, config.check_fraction)
+    # bit_counts[session][role][bit]; role 0 = message, 1 = check
+    bit_counts = rng.multinomial([n_message, n_check], [0.5, 0.5], (config.rounds_repeat, 2))
 
     attacked = config.trent.kind is StrategyKind.ATTACK
     errors = hits = equal = np.zeros(config.rounds_repeat, dtype=np.int64)
@@ -215,19 +213,17 @@ def run_experiment(config: RunConfig) -> RunReport:
             if count:
                 histogram[f"{b.trent_announcement.name}/{b.bob_measurement.name}"] += count
 
-    session_rounds = bit_counts.sum(axis=(1, 2)).tolist()
-    session_checks = bit_counts[:, 1].sum(axis=1).tolist()
-    error_rates = [e / c for e, c in zip(errors.tolist(), session_checks)]
+    n_rounds = n_message + n_check
     sessions = tuple(
         SessionStats(
-            error_rate=rate,
-            aborted=rate > config.abort_threshold,
-            guess_accuracy=h / n if attacked else None,
-            z_equal_fraction=q / n if attacked else None,
+            error_rate=e / n_check,
+            aborted=e / n_check > config.abort_threshold,
+            guess_accuracy=h / n_rounds if attacked else None,
+            z_equal_fraction=q / n_rounds if attacked else None,
         )
-        for rate, h, q, n in zip(error_rates, hits.tolist(), equal.tolist(), session_rounds)
+        for e, h, q in zip(errors.tolist(), hits.tolist(), equal.tolist())
     )
-    total_rounds, check_total = sum(session_rounds), sum(session_checks)
+    total_rounds, check_total = n_rounds * config.rounds_repeat, n_check * config.rounds_repeat
     check_errors, guess_hits = int(errors.sum()), int(hits.sum())
     return RunReport(
         config=config.describe(),

@@ -56,6 +56,8 @@ ENCODING_RULES = {
     },
 }
 
+MAX_SESSION_ROUNDS = 10**8  # message plus check rounds in one session
+
 @dataclass(frozen=True)
 class RoundTranscript:
     """Complete record of one message-bit round."""
@@ -77,6 +79,19 @@ class RoundTranscript:
             raise ValueError(f"{self.protocol} announces {ann_type.__name__} outcomes")
         if not isinstance(self.bob_measurement, meas_type):
             raise ValueError(f"{self.protocol} has Bob record {meas_type.__name__} outcomes")
+
+
+def check_round_count(message_length: int, check_fraction: float) -> int:
+    """Check rounds for `message_length` message rounds: `check_fraction` of
+    all rounds, rounded, at least one.  Raises ValueError unless 0 <
+    check_fraction < 1 and the session has at most MAX_SESSION_ROUNDS."""
+    if not 0.0 < check_fraction < 1.0:
+        raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
+    n_check = max(1, round(message_length * check_fraction / (1.0 - check_fraction)))
+    if message_length + n_check > MAX_SESSION_ROUNDS:
+        raise ValueError(f"check_fraction {check_fraction} with message_length {message_length} "
+                         f"plans {message_length + n_check} rounds, above {MAX_SESSION_ROUNDS}")
+    return n_check
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +119,7 @@ class SessionPlan:
             raise ValueError("session needs at least one message bit")
         if message.ndim != 1 or message.dtype.kind not in "biu" or np.count_nonzero(message >> 1):
             raise ValueError("message bits must be a 1-D sequence of integers 0 and 1")
-        if not 0.0 < check_fraction < 1.0:
-            raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
-        n_check = max(1, round(message.size * check_fraction / (1.0 - check_fraction)))
+        n_check = check_round_count(message.size, check_fraction)
         total = message.size + n_check
         check_bits = rng.integers(0, 2, size=n_check)
         is_check = np.zeros(total, dtype=bool)

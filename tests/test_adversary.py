@@ -170,3 +170,13 @@ class TestAttackMetrics:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             attack_metrics([])
+
+    def test_no_check_rounds_give_no_error_rate(self):
+        generator = rng(21)
+        transcripts = [
+            run_round(ProtocolId.PROTOCOL_1, ORIGINAL, bit, TrentStrategy.attack(), generator)
+            for bit in (0, 1, 1, 0)
+        ]
+        assert not any(t.is_check_bit for t in transcripts)
+        # the original encoding leaks every bit: Z outcomes agree for bit 0 only
+        assert attack_metrics(transcripts) == (1.0, None, 0.5)

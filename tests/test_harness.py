@@ -16,7 +16,13 @@ from qsdc.harness import (
     run_experiment,
     verify_identities,
 )
-from qsdc.protocol import EncodingVariant, ProtocolId, round_distribution
+from qsdc.protocol import (
+    EncodingVariant,
+    ProtocolId,
+    SessionPlan,
+    check_round_count,
+    round_distribution,
+)
 
 P1, P2 = ProtocolId.PROTOCOL_1, ProtocolId.PROTOCOL_2
 ORIGINAL, REVISED = EncodingVariant.ORIGINAL, EncodingVariant.REVISED
@@ -47,6 +53,12 @@ class TestRunConfig:
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
+
+    def test_session_round_cap_names_the_count(self):
+        with pytest.raises(ConfigError) as info:
+            RunConfig(message_length=1000, check_fraction=0.999999)
+        for part in ("check_fraction 0.999999", "message_length 1000", "1000000000 rounds"):
+            assert part in str(info.value)
 
     @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
     def test_numpy_integers_match_plain_ints(self, integer):
@@ -209,6 +221,11 @@ FIT_CONFIGS = {
         protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(), message_length=300,
         seed=102, rounds_repeat=4,
     ),
+    # Honest noiseless rounds: each label occurs under one bit only, so the
+    # fit also tests that each round carries bit 1 with probability 1/2.
+    "p1-revised-honest": RunConfig(
+        protocol=P1, variant=REVISED, message_length=2000, seed=108, rounds_repeat=5,
+    ),
     "p2-revised-attack-genuine": RunConfig(
         protocol=P2, variant=REVISED,
         trent=TrentStrategy.attack(AnnouncementPolicy.GENUINE_MEASUREMENT),
@@ -231,9 +248,9 @@ ERROR_CONFIGS = {
         seed=106, rounds_repeat=4, noise_probability=0.2,
     ),
 }
-# False-alarm probability of each check.  With 4 + 2 checks, a correct
+# False-alarm probability of each check.  With 5 + 2 checks, a correct
 # sampler fails this class on an arbitrary seed with probability at most
-# 6e-6.  No check is retried or re-seeded.
+# 7e-6.  No check is retried or re-seeded.
 FALSE_ALARM = 1e-6
 
 
@@ -283,6 +300,33 @@ class TestSamplerFit:
         errors = round(report.bob_error_rate * n)
         lower, upper = binomial_tails(errors, n, check_error_probability(config))
         assert min(lower, upper) > FALSE_ALARM / 2, (errors, n * check_error_probability(config))
+
+
+class TestBitCounts:
+    def test_run_builds_no_session_plan(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment built a SessionPlan")
+
+        monkeypatch.setattr(SessionPlan, "build", refuse)
+        report = run_experiment(RunConfig(message_length=300, seed=8, rounds_repeat=3))
+        assert report.total_rounds == 3 * 600
+
+    @pytest.mark.parametrize(
+        "message_length,check_fraction,n_check",
+        # the at-least-one floor, 4.5 rounded in floating point, exact
+        # ratios, a near-integer ratio, and 0.999 of the session
+        [(1, 0.01, 1), (3, 0.6, 4), (90, 0.1, 10), (7, 0.3, 3), (1000, 0.999, 999000)],
+    )
+    def test_check_rounds_follow_the_shared_count(self, message_length, check_fraction, n_check):
+        assert check_round_count(message_length, check_fraction) == n_check
+        plan = SessionPlan.build([1] * message_length, check_fraction, np.random.default_rng(0))
+        assert np.count_nonzero(plan.is_check) == n_check
+        config = RunConfig(
+            message_length=message_length, check_fraction=check_fraction, seed=9, rounds_repeat=4
+        )
+        report = run_experiment(config)
+        assert report.check_rounds == 4 * n_check
+        assert report.total_rounds == 4 * (message_length + n_check)
 
 
 class TestIdentitiesAndTables:
@@ -380,7 +424,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag",
         [["--bits", "-5"], ["--protocol", "3"], ["--variant", "x"], ["--trent", "spy"],
-         ["--bits", "many"]],
+         ["--bits", "many"], ["--bits", "1000", "--check-fraction", "0.999999"]],
         ids=" ".join,
     )
     def test_bad_config_value_exits_nonzero(self, capsys, flag):

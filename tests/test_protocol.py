@@ -378,6 +378,15 @@ class TestSessionPlan:
         with pytest.raises(ValueError, match="check_fraction"):
             SessionPlan.build([0, 1], 1.5, rng())
 
+    def test_session_round_cap(self):
+        cap = protocol_module.MAX_SESSION_ROUNDS
+        assert protocol_module.check_round_count(cap - 1, 1e-9) == 1
+        with pytest.raises(ValueError, match=f"plans {cap + 1} rounds"):
+            protocol_module.check_round_count(cap, 1e-9)
+        # rejected before any array is sized by the count
+        with pytest.raises(ValueError, match="message_length 1000 plans 1000000000 rounds"):
+            SessionPlan.build([0, 1] * 500, 0.999999, rng())
+
     @pytest.mark.parametrize(
         "message,accepted",
         [
