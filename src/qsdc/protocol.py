@@ -21,7 +21,6 @@ exactly what blinds Trent's Z-basis attack without costing Bob anything.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -125,8 +124,8 @@ class SessionPlan:
         is_check = np.zeros(total, dtype=bool)
         is_check[rng.choice(total, size=n_check, replace=False)] = True
         bits = np.empty(total, dtype=np.int8)
-        bits[is_check] = check_bits
-        bits[~is_check] = message
+        bits[np.flatnonzero(is_check)] = check_bits.astype(np.int8)
+        bits[np.flatnonzero(~is_check)] = message.astype(np.int8)
         bits.flags.writeable = is_check.flags.writeable = False
         return cls(bits=bits, is_check=is_check)
 
@@ -263,6 +262,29 @@ def round_distribution(
     return tuple(np.cumsum([b.probability for b in branches])), branches
 
 
+def _transcript(
+    protocol: ProtocolId,
+    variant: EncodingVariant,
+    bit: int,
+    branch: RoundBranch,
+    is_check_bit: bool,
+    flipped: bool = False,
+) -> RoundTranscript:
+    """The transcript of a round that took `branch`; `flipped` inverts
+    Bob's decoded bit (channel noise)."""
+    return RoundTranscript(
+        protocol=protocol,
+        variant=variant,
+        sent_bit=bit,
+        is_check_bit=is_check_bit,
+        trent_announcement=branch.trent_announcement,
+        bob_measurement=branch.bob_measurement,
+        decoded_bit=1 - branch.decoded_bit if flipped else branch.decoded_bit,
+        adversary_guess=branch.adversary_guess,
+        adversary_raw=branch.adversary_raw,
+    )
+
+
 def run_round(
     protocol: ProtocolId,
     variant: EncodingVariant,
@@ -275,22 +297,14 @@ def run_round(
 
     Samples the round's exact joint outcome distribution, precomputed once
     per (protocol, variant, bit, strategy) by enumerating every measurement
-    branch of the state vector; distributionally identical to
-    `run_round_statevector` but orders of magnitude faster in bulk runs.
+    branch of the state vector, with one `rng.random()`.  Distributionally
+    identical to `run_round_statevector` and about ten times faster;
+    `run_session` samples a whole session from the same tables at a small
+    fraction of this per-round cost.
     """
     cumulative, branches = round_distribution(protocol, variant, bit, trent)
     branch = branches[min(bisect_right(cumulative, rng.random()), len(branches) - 1)]
-    return RoundTranscript(
-        protocol=protocol,
-        variant=variant,
-        sent_bit=bit,
-        is_check_bit=is_check_bit,
-        trent_announcement=branch.trent_announcement,
-        bob_measurement=branch.bob_measurement,
-        decoded_bit=branch.decoded_bit,
-        adversary_guess=branch.adversary_guess,
-        adversary_raw=branch.adversary_raw,
-    )
+    return _transcript(protocol, variant, bit, branch, is_check_bit)
 
 
 def run_session(
@@ -302,28 +316,55 @@ def run_session(
     abort_threshold: float = 0.02,
     noise_probability: float = 0.0,
 ) -> tuple[list[RoundTranscript], float, bool]:
-    """Play out the plan's rounds in order and evaluate the check-bit error rate.
+    """Play out the plan's rounds and evaluate the check-bit error rate.
 
-    `noise_probability` is an optional classical channel-noise knob: each
-    decoded bit is independently flipped with that probability, exercising
-    the abort path without touching the quantum model.  A plan without
-    check rounds is rejected: it would pass unchecked.
+    All rounds are sampled at once: one `rng.random(n)` for the n rounds'
+    branches, each picked from its bit's exact table as `run_round` does,
+    then, only when `noise_probability` > 0, one `rng.random(n)` for the
+    noise.  `noise_probability` is an optional classical channel-noise
+    knob: each decoded bit is independently flipped with that probability,
+    exercising the abort path without touching the quantum model.  Rounds
+    with the same bit, branch, check flag and flip share one transcript.
+    A plan without check rounds is rejected: it would pass unchecked.
     """
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
     if not plan.is_check.any():
         raise ValueError("session plan has no check rounds")
+    if not np.isin(plan.bits, (0, 1)).all():
+        raise ValueError("session plan bits must be 0 or 1")
 
-    transcripts = []
-    for bit, is_check in zip(plan.bits.tolist(), plan.is_check.tolist()):
-        transcript = run_round(protocol, variant, bit, trent, rng, is_check_bit=is_check)
-        if noise_probability > 0.0 and rng.random() < noise_probability:
-            transcript = dataclasses.replace(transcript, decoded_bit=1 - transcript.decoded_bit)
-        transcripts.append(transcript)
+    n = plan.bits.size
+    uniforms = rng.random(n)
+    flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
+    bits = plan.bits.astype(np.intp)
+    tables = [round_distribution(protocol, variant, bit, trent) for bit in (0, 1)]
+    branch = np.empty(n, dtype=np.intp)
+    for bit, (cumulative, branches) in enumerate(tables):
+        rounds = bits == bit
+        picked = np.searchsorted(cumulative, uniforms[rounds], side="right")
+        branch[rounds] = np.minimum(picked, len(branches) - 1)
 
-    checks = [t for t in transcripts if t.is_check_bit]
-    errors = sum(t.decoded_bit != t.sent_bit for t in checks)
-    error_rate = errors / len(checks)
+    # One transcript per distinct (bit, branch, is_check, flipped).
+    width = max(len(branches) for _, branches in tables)
+    key = ((bits * width + branch) * 2 + plan.is_check) * 2 + flipped
+    _, first, inverse, counts = np.unique(
+        key, return_index=True, return_inverse=True, return_counts=True
+    )
+    shared = [
+        _transcript(protocol, variant, bit, tables[bit][1][b], check, flip)
+        for bit, b, check, flip in zip(
+            bits[first].tolist(), branch[first].tolist(),
+            plan.is_check[first].tolist(), flipped[first].tolist(),
+        )
+    ]
+    transcripts = [shared[i] for i in inverse.tolist()]
+
+    errors = sum(
+        count for t, count in zip(shared, counts.tolist())
+        if t.is_check_bit and t.decoded_bit != t.sent_bit
+    )
+    error_rate = errors / np.count_nonzero(plan.is_check)
     abort = error_rate > abort_threshold
     return transcripts, error_rate, abort
 

@@ -5,9 +5,15 @@ ordering is (Alice, Trent, Bob), so a basis ket |atb> lives at integer
 index a*4 + t*2 + b.  States are immutable: every operation returns a
 new StateVector.  Equality of states is always judged by fidelity, never
 amplitude-wise, so global phase is irrelevant.
+
+Every gate and measurement is one matrix product on the amplitude
+vector.  The matrices are built once per (qubit count, gate, qubit) and
+per (qubit count, basis, qubits), by running the axis contraction that
+defines the operation on the identity, and cached.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,7 +111,9 @@ class StateVector:
 def make_state(amplitudes) -> StateVector:
     """Build a StateVector, inferring the qubit count from the length."""
     amps = np.asarray(amplitudes, dtype=complex)
-    n = int(np.log2(amps.size))
+    n = {2: 1, 4: 2, 8: 3}.get(amps.size)
+    if n is None:
+        raise ValueError(f"expected 2, 4 or 8 amplitudes, got {amps.size}")
     return StateVector(num_qubits=n, amplitudes=amps)
 
 
@@ -117,16 +125,22 @@ def make_ghz() -> StateVector:
     return StateVector(num_qubits=3, amplitudes=amps)
 
 
+@functools.cache
+def _gate_operator(num_qubits: int, gate: Gate, qubit: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of `gate` on tensor factor `qubit`."""
+    # Contract the gate into axis `qubit` of every basis ket (the trailing
+    # axis of `identity` indexes the kets), then restore axis order.
+    identity = np.eye(2**num_qubits, dtype=complex).reshape([2] * num_qubits + [-1])
+    operator = np.moveaxis(np.tensordot(gate.matrix, identity, axes=([1], [qubit])), 0, qubit)
+    return _read_only(operator.reshape(2**num_qubits, -1))
+
+
 def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
     """Apply a single-qubit gate on the given tensor factor."""
     state._check_qubit(qubit)
     n = state.num_qubits
-    amps = state.amplitudes.reshape([2] * n)
-    # Contract the gate into axis `qubit`, then restore axis order.
-    amps = np.tensordot(gate.matrix, amps, axes=([1], [qubit]))
-    amps = np.moveaxis(amps, 0, qubit)
     # Unitary application preserves the norm; skip re-validation.
-    return _fast_state(n, np.ascontiguousarray(amps.reshape(-1)))
+    return _fast_state(n, _gate_operator(n, gate, qubit) @ state.amplitudes)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -156,6 +170,12 @@ def _fast_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
     return state
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array = np.ascontiguousarray(array)
+    array.flags.writeable = False
+    return array
+
+
 # Outcome alphabet and stacked basis vectors of each measurement basis.
 OUTCOMES = {
     "z": (ZOutcome.ZERO, ZOutcome.ONE),
@@ -169,24 +189,41 @@ _BASES = {
 }
 
 
+@functools.cache
+def _projectors(num_qubits: int, basis: str, qubits: tuple[int, ...]):
+    """(bras, kets) of measuring `qubits` in `basis`, one pair per outcome.
+
+    bras[i] (2^(n-k) x 2^n) maps a state to the amplitudes of the other
+    qubits, in their order, that go with outcome i; kets[i] (2^n x
+    2^(n-k)) maps such amplitudes back to a state whose measured qubits
+    are in outcome i's basis vector.
+    """
+    n, k = num_qubits, len(qubits)
+    rest = 2 ** (n - k)
+    basis_vectors = _BASES[basis]
+    # Move the measured qubits to the front of every basis ket (the
+    # trailing axis of `identity` indexes the kets) and take their
+    # overlaps with the basis vectors.
+    identity = np.eye(2**n, dtype=complex).reshape([2] * n + [-1])
+    moved = np.moveaxis(identity, qubits, range(k)).reshape(2**k, -1)
+    bras = (basis_vectors.conj() @ moved).reshape(len(basis_vectors), rest, 2**n)
+    # Tensor each basis vector with every basis ket of the other qubits,
+    # then move the measured qubits back into place.
+    post = basis_vectors[:, :, None, None] * np.eye(rest, dtype=complex)[None, None]
+    post = np.moveaxis(post.reshape([-1] + [2] * n + [rest]), range(1, k + 1), [q + 1 for q in qubits])
+    return _read_only(bras), _read_only(post.reshape(len(basis_vectors), 2**n, rest))
+
+
 def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     """Born probability of every outcome of measuring `qubits` in `basis`,
     and a function from an outcome's index to its normalized post-state."""
     n = state.num_qubits
-    k = len(qubits)
-    moved = qubits != tuple(range(k))
-    amps = state.amplitudes.reshape([2] * n)
-    if moved:
-        amps = np.moveaxis(amps, qubits, range(k))
-    coeffs = _BASES[basis].conj() @ amps.reshape(2**k, -1)
+    bras, kets = _projectors(n, basis, qubits)
+    coeffs = bras @ state.amplitudes
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
 
     def collapse(index: int) -> StateVector:
-        post = _BASES[basis][index][:, None] * (coeffs[index] / np.sqrt(probs[index]))
-        post = post.reshape([2] * n)
-        if moved:
-            post = np.moveaxis(post, range(k), qubits)
-        return _fast_state(n, np.ascontiguousarray(post.reshape(-1)))
+        return _fast_state(n, kets[index] @ (coeffs[index] / np.sqrt(probs[index])))
 
     return probs, collapse
 
@@ -222,7 +259,7 @@ def _sample_projective(state, basis, qubits, rng):
     draw = rng.random() * total
     cumulative = 0.0
     idx = None
-    for i, p in enumerate(probs):
+    for i, p in enumerate(probs.tolist()):
         if p <= 0.0:
             continue
         idx = i  # fallback for draw == total under rounding

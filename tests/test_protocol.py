@@ -439,7 +439,14 @@ class TestRunSession:
         assert extract_message(transcripts, abort) == message
 
     @pytest.mark.parametrize(
-        "bits,is_check", [([], []), ([0, 1, 1], [True]), ([0, 1, 1], [False, False, False])]
+        "bits,is_check",
+        [
+            ([], []),
+            ([0, 1, 1], [True]),
+            ([0, 1, 1], [False, False, False]),
+            ([0, 2, 1], [True, False, False]),
+            ([0, -1, 1], [True, False, False]),
+        ],
     )
     def test_malformed_plan_rejected(self, bits, is_check):
         plan = SessionPlan(bits=np.array(bits, dtype=np.int8), is_check=np.array(is_check, dtype=bool))
@@ -476,16 +483,70 @@ class TestRunSession:
         assert error_rate > 0.02
         assert abort
 
-    def test_round_interleaving_matches_plan(self):
+    @pytest.mark.parametrize(
+        "trent,noise", [(TrentStrategy.honest(), 0.0), (TrentStrategy.attack(), 0.3)]
+    )
+    def test_round_interleaving_matches_plan(self, trent, noise):
         generator = rng(35)
         message = [1, 0, 1, 1, 0, 0, 1, 0]
         plan = SessionPlan.build(message, 0.5, generator)
-        transcripts, _, _ = run_session(P1, REVISED, plan, TrentStrategy.honest(), generator)
+        transcripts, _, _ = run_session(
+            P1, REVISED, plan, trent, generator, noise_probability=noise
+        )
         assert [t.sent_bit for t in transcripts] == plan.bits.tolist()
         assert [t.is_check_bit for t in transcripts] == plan.is_check.tolist()
         assert all(type(t.sent_bit) is int and type(t.is_check_bit) is bool for t in transcripts)
         sent_message = [t.sent_bit for t in transcripts if not t.is_check_bit]
         assert sent_message == message
+
+    def test_full_noise_flips_every_decode(self):
+        generator = rng(36)
+        plan = SessionPlan.build(generator.integers(0, 2, 300), 0.5, generator)
+        transcripts, error_rate, abort = run_session(
+            P2, REVISED, plan, TrentStrategy.honest(), generator, noise_probability=1.0
+        )
+        assert error_rate == 1.0 and abort
+        assert all(t.decoded_bit != t.sent_bit for t in transcripts)
+
+    @pytest.mark.parametrize("noise,draws_per_round", [(0.0, 1), (0.1, 2)])
+    def test_session_draws_n_uniforms_and_n_more_with_noise(self, noise, draws_per_round):
+        plan = SessionPlan.build([0, 1, 1] * 40, 0.4, rng(37))
+        generator, reference = rng(38), rng(38)
+        run_session(P2, ORIGINAL, plan, TrentStrategy.attack(), generator, noise_probability=noise)
+        reference.random(draws_per_round * plan.bits.size)
+        assert generator.random() == reference.random()
+
+    @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
+    def test_bulk_branch_choice_matches_run_round(self, protocol, variant):
+        # run_session on given uniforms picks, round by round, the branch
+        # run_round picks on the same uniform, edges of the table included
+        trent = TrentStrategy.attack()
+        plan = SessionPlan.build(rng(39).integers(0, 2, 200), 0.5, rng(40))
+        edges = [u for bit in (0, 1) for u in round_distribution(protocol, variant, bit, trent)[0]]
+        uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, rng(41).random(plan.bits.size)])
+        uniforms = uniforms[: plan.bits.size]
+        transcripts, _, _ = run_session(protocol, variant, plan, trent, _Uniforms(uniforms))
+        expected = [
+            run_round(protocol, variant, bit, trent, _Uniforms([u]), is_check_bit=check)
+            for bit, check, u in zip(plan.bits.tolist(), plan.is_check.tolist(), uniforms.tolist())
+        ]
+        assert transcripts == expected
+        # rounds with equal transcripts share one object
+        assert len({id(t) for t in transcripts}) == len(set(transcripts))
+
+
+class _Uniforms:
+    """Stands in for a generator: `random()` and `random(n)` hand out the
+    given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        drawn, self.values = self.values[:size], self.values[size:]
+        return np.array(drawn)
 
 
 SESSION_FIT_CONFIGS = {

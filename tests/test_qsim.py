@@ -1,8 +1,12 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from qsdc import qsim
 from qsdc.qsim import (
     ATOL,
@@ -84,6 +88,11 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
+    @pytest.mark.parametrize("length", [0, 1, 3, 6, 16])
+    def test_make_state_rejects_lengths_other_than_2_4_8(self, length):
+        with pytest.raises(ValueError, match=f"expected 2, 4 or 8 amplitudes, got {length}$"):
+            make_state(np.ones(length) / np.sqrt(max(length, 1)))
+
 
 class TestApplyGate:
     def test_out_of_range_qubit(self):
@@ -117,6 +126,86 @@ class TestApplyGate:
         expected[0] = expected[4] = expected[3] = 0.5  # |000>,|100>,|011>
         expected[7] = -0.5  # -|111>
         assert fidelity(state, make_state(expected)) == pytest.approx(1.0, abs=ATOL)
+
+
+def seeded_states(num_qubits: int, count: int = 4) -> list[np.ndarray]:
+    """Normalized random amplitude vectors, the same on every run."""
+    generator = rng(100 + num_qubits)
+    states = []
+    for _ in range(count):
+        amps = generator.normal(size=2**num_qubits) + 1j * generator.normal(size=2**num_qubits)
+        states.append(amps / np.linalg.norm(amps))
+    return states
+
+
+class _FixedUniform:
+    """Stands in for a generator whose next `random()` is `value`."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+_ORACLE_GATES = {Gate.IDENTITY: oracle.I2, Gate.PAULI_X: oracle.X, Gate.PAULI_Z: oracle.Z, Gate.HADAMARD: oracle.H}
+
+
+class TestKernelsAgainstOracle:
+    """Gates and measurements against the explicit Kronecker-product
+    matrices of tests/oracle.py, on seeded random states."""
+
+    @pytest.mark.parametrize("gate", list(Gate))
+    @pytest.mark.parametrize("qubit", range(3))
+    def test_gate_on_three_qubits(self, gate, qubit):
+        for amps in seeded_states(3):
+            got = apply_gate(make_state(amps), gate, qubit).amplitudes
+            expected = oracle.op_on(_ORACLE_GATES[gate], qubit) @ amps
+            np.testing.assert_allclose(got, expected, rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize("gate", list(Gate))
+    @pytest.mark.parametrize("num_qubits,qubit", [(1, 0), (2, 0), (2, 1)])
+    def test_gate_on_fewer_qubits(self, gate, num_qubits, qubit):
+        factors = [oracle.I2] * num_qubits
+        factors[qubit] = _ORACLE_GATES[gate]
+        operator = functools.reduce(np.kron, factors)
+        for amps in seeded_states(num_qubits):
+            got = apply_gate(make_state(amps), gate, qubit).amplitudes
+            np.testing.assert_allclose(got, operator @ amps, rtol=0, atol=ATOL)
+
+    @staticmethod
+    def _check_measurement(measure, basis, qubits, projectors):
+        """Born probabilities (via enumerate_schedule) and, outcome by
+        outcome, the sampled outcome and post-state of `measure`."""
+        step = (("measure", "m", basis, qubits),)
+        for amps in seeded_states(3):
+            state = make_state(amps)
+            probabilities = {out["m"]: p for p, out in qsim.enumerate_schedule(state, step)}
+            below = 0.0
+            for outcome, projector in projectors.items():
+                branch = projector @ amps
+                p = float(np.vdot(branch, branch).real)
+                assert probabilities[outcome] == pytest.approx(p, abs=ATOL)
+                # a uniform in the middle of this outcome's interval
+                got, post = measure(state, *qubits, _FixedUniform(below + p / 2))
+                below += p
+                assert got is outcome
+                np.testing.assert_allclose(post.amplitudes, branch / np.sqrt(p), rtol=0, atol=ATOL)
+
+    @pytest.mark.parametrize("qubit", range(3))
+    def test_measure_z(self, qubit):
+        projectors = {z: oracle.single_projector(oracle.KET[z.value], qubit) for z in ZOutcome}
+        self._check_measurement(measure_z, "z", (qubit,), projectors)
+
+    @pytest.mark.parametrize("qubit", range(3))
+    def test_measure_x(self, qubit):
+        projectors = {x: oracle.single_projector(oracle.KET_X[x.value], qubit) for x in XOutcome}
+        self._check_measurement(measure_x, "x", (qubit,), projectors)
+
+    @pytest.mark.parametrize("pair", list(itertools.permutations(range(3), 2)))
+    def test_measure_bell_on_every_ordered_pair(self, pair):
+        projectors = {b: oracle.bell_projector(b.value, pair) for b in BellOutcome}
+        self._check_measurement(measure_bell, "bell", pair, projectors)
 
 
 class TestFidelity:
