@@ -20,6 +20,8 @@ from .qsim import BellOutcome, StateVector, XOutcome
 
 SCHEMA_VERSION = 3
 
+MAX_SESSIONS = 10**6  # sessions in one run; protocol.MAX_SESSION_ROUNDS caps each
+
 
 class ConfigError(ValueError):
     """A RunConfig field failed validation; the message names the field."""
@@ -45,6 +47,10 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, numbers.Integral) and not isinstance(value, bool):
                 object.__setattr__(self, name, int(value))
+        for name in ("check_fraction", "abort_threshold", "noise_probability"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
         if type(self.message_length) is not int or self.message_length < 1:
             raise ConfigError(f"message_length must be a positive integer, got {self.message_length}")
         try:
@@ -55,8 +61,10 @@ class RunConfig:
             raise ConfigError(f"abort_threshold must lie in [0,1], got {self.abort_threshold}")
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if type(self.rounds_repeat) is not int or self.rounds_repeat < 1:
-            raise ConfigError(f"rounds_repeat must be a positive integer, got {self.rounds_repeat}")
+        if type(self.rounds_repeat) is not int or not 1 <= self.rounds_repeat <= MAX_SESSIONS:
+            raise ConfigError(
+                f"rounds_repeat must be an integer in [1, {MAX_SESSIONS}], got {self.rounds_repeat}"
+            )
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
         if not 0.0 <= self.noise_probability <= 1.0:

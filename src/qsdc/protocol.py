@@ -8,9 +8,10 @@ the announcement with his own result to decode the bit.
 
 Each round is written once, as the step schedule `schedule(protocol,
 trent)`, with Trent's steps from `adversary.trent_steps`.  The rest is
-derived from it: `round_distribution` walks it exactly,
-`run_round_statevector` samples it measurement by measurement, `decode`
-reads Bob's rule off the honest branches, and the `qsdc tables` rows
+derived from it: its exact branch tree (`qsim.schedule_tree`) is built
+once per (protocol, variant, bit, strategy), `round_distribution`
+flattens that tree and `run_round_statevector` walks it, `decode` reads
+Bob's rule off the honest branches, and the `qsdc tables` rows
 (`honest_correspondence_table`) are the honest distribution.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
@@ -202,6 +203,20 @@ def _outcome_fields(protocol: ProtocolId, outcomes: dict) -> dict:
     )
 
 
+@functools.cache
+def _round_tree(
+    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
+) -> tuple[qsim.TreeNode, dict]:
+    """The exact branch tree of one round and the RoundTranscript fields
+    of each of its paths of positive probability, by path; cached."""
+    tree = qsim.schedule_tree(_encoded_ghz(variant, bit), schedule(protocol, trent))
+    fields = {
+        path: _outcome_fields(protocol, outcomes)
+        for _, outcomes, path in qsim.tree_branches(tree, cutoff=0.0)
+    }
+    return tree, fields
+
+
 def run_round_statevector(
     protocol: ProtocolId,
     variant: EncodingVariant,
@@ -210,22 +225,24 @@ def run_round_statevector(
     rng,
     is_check_bit: bool = False,
 ) -> RoundTranscript:
-    """Execute one full round on a fresh GHZ triple, measurement by
-    measurement on the state vector.
+    """Execute one full round on a fresh GHZ triple by walking the
+    round's state-vector branch tree.
 
-    `run_round` draws from the exact precomputed branch distribution of
-    the same round and is much faster; this path is the reference it is
-    checked against.
+    Each measurement on the way draws one `rng.random()` against the
+    Born probabilities of its post-measurement state, each random step
+    one `rng.integers`, in time order, exactly as `qsim.sample_schedule`
+    does.  The tree and the fields of every path are built once per
+    (protocol, variant, bit, strategy), so a round runs no gate and no
+    projection.  This is the reference `run_round` is checked against.
     """
-    outcomes, _ = qsim.sample_schedule(
-        _encoded_ghz(variant, bit), schedule(protocol, trent), rng
-    )
+    tree, fields = _round_tree(protocol, variant, bit, trent)
+    path, _ = qsim.sample_tree(tree, rng)
     return RoundTranscript(
         protocol=protocol,
         variant=variant,
         sent_bit=bit,
         is_check_bit=is_check_bit,
-        **_outcome_fields(protocol, outcomes),
+        **fields[path],
     )
 
 
@@ -245,16 +262,15 @@ class RoundBranch:
 def round_distribution(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
 ) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
-    """Cumulative probabilities and branches of one round, cached.
+    """Cumulative probabilities and branches of one round, cached: the
+    branches of the round's tree whose probability exceeds 1e-15.
 
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple supports bisection sampling.
     """
+    tree, fields = _round_tree(protocol, variant, bit, trent)
     branches = tuple(
-        RoundBranch(probability=p, **_outcome_fields(protocol, outcomes))
-        for p, outcomes in qsim.enumerate_schedule(
-            _encoded_ghz(variant, bit), schedule(protocol, trent)
-        )
+        RoundBranch(probability=p, **fields[path]) for p, _, path in qsim.tree_branches(tree)
     )
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:
@@ -295,12 +311,12 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round on a fresh GHZ triple.
 
-    Samples the round's exact joint outcome distribution, precomputed once
-    per (protocol, variant, bit, strategy) by enumerating every measurement
-    branch of the state vector, with one `rng.random()`.  Distributionally
-    identical to `run_round_statevector` and about ten times faster;
-    `run_session` samples a whole session from the same tables at a small
-    fraction of this per-round cost.
+    Samples the round's exact joint outcome distribution, flattened once
+    per (protocol, variant, bit, strategy) from the round's branch tree,
+    with one `rng.random()`.  `run_round_statevector` walks the same tree
+    with one draw per measurement instead: the two are distributionally
+    identical and cost about the same per round.  `run_session` samples a
+    whole session from the same tables at a small fraction of this cost.
     """
     cumulative, branches = round_distribution(protocol, variant, bit, trent)
     branch = branches[min(bisect_right(cumulative, rng.random()), len(branches) - 1)]

@@ -10,10 +10,21 @@ Every gate and measurement is one matrix product on the amplitude
 vector.  The matrices are built once per (qubit count, gate, qubit) and
 per (qubit count, basis, qubits), by running the axis contraction that
 defines the operation on the identity, and cached.
+
+A step schedule (gates, measurements and uniformly random symbols in
+time order) has one exact walk: `schedule_tree` applies each gate and
+projects each measurement once per branch and keeps every Born
+probability and post-measurement state.  `tree_branches` flattens the
+tree into its exact branch list and `sample_tree` walks it, one draw per
+measurement or random step; a measurement picks its outcome by the same
+rule as `measure_*`.  `enumerate_schedule` and `sample_schedule` build
+a schedule's tree and flatten or walk it.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -93,7 +104,7 @@ class StateVector:
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
             )
         norm = np.sum(np.abs(amps) ** 2)
-        if abs(norm - 1.0) > 1e-9:
+        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -248,24 +259,33 @@ def bell_probabilities(
     return dict(zip(OUTCOMES["bell"], map(float, probs)))
 
 
+class _Born:
+    """Born probabilities of one measurement and the rule that turns a
+    uniform draw into an outcome: the first outcome, skipping zero
+    probabilities, whose cumulative probability exceeds the draw times
+    the total; the last positive one when rounding leaves none."""
+
+    __slots__ = ("probs", "total", "support", "cumulative")
+
+    def __init__(self, probs: np.ndarray):
+        total = probs.sum()
+        if total < 1e-12:
+            raise ValueError("cannot measure a state with vanishing norm")
+        self.probs = probs.tolist()
+        self.total = float(total)
+        self.support = [i for i, p in enumerate(self.probs) if p > 0.0]
+        self.cumulative = list(itertools.accumulate(self.probs[i] for i in self.support))
+
+    def pick(self, u: float) -> int:
+        k = bisect.bisect_right(self.cumulative, u * self.total)
+        return self.support[min(k, len(self.support) - 1)]
+
+
 def _sample_projective(state, basis, qubits, rng):
     """Born-rule sampling over a complete projective family.  Only the
     sampled branch's post-state is materialized."""
     probs, collapse = _project(state, basis, qubits)
-    total = probs.sum()
-    if total < 1e-12:
-        raise ValueError("cannot measure a state with vanishing norm")
-
-    draw = rng.random() * total
-    cumulative = 0.0
-    idx = None
-    for i, p in enumerate(probs.tolist()):
-        if p <= 0.0:
-            continue
-        idx = i  # fallback for draw == total under rounding
-        cumulative += p
-        if draw < cumulative:
-            break
+    idx = _Born(probs).pick(rng.random())
     return OUTCOMES[basis][idx], collapse(idx)
 
 
@@ -290,51 +310,104 @@ def measure_bell(
     return _sample_projective(state, "bell", (qubit_a, qubit_b), rng)
 
 
-def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
-    """Run a step schedule on `state`.
+@dataclass(frozen=True, eq=False)
+class TreeNode:
+    """One node of a schedule's branch tree.
+
+    A measurement node holds the Born probabilities of its state
+    (`born`) and one child per outcome of `outcomes`, None where the
+    probability is 0.  A random step (`born` None) has one child per
+    symbol, all the same subtree.  A leaf has no children.  `state` is
+    the state the node's step acts on; at a leaf, the final state.
+    """
+
+    role: str | None
+    outcomes: tuple
+    born: _Born | None
+    children: tuple
+    state: StateVector
+
+
+def schedule_tree(state: StateVector, schedule) -> TreeNode:
+    """The exact branch tree of a step schedule run on `state`.
 
     A schedule is a time-ordered tuple of steps: ("gate", Gate, qubit),
     ("measure", role, "z" | "x" | "bell", qubits) or ("random", role,
-    alphabet), the last a uniformly random symbol.  Draws from `rng` in
-    time order, one `rng.random()` per measurement and one `rng.integers`
-    per random step, and returns the outcomes by role and the final state.
+    alphabet), the last a uniformly random symbol.  Each gate is applied
+    and each measurement projected once per branch; every outcome of
+    positive probability gets its subtree, however small.
     """
-    outcomes = {}
-    for step in schedule:
-        if step[0] == "gate":
-            state = apply_gate(state, step[1], step[2])
-        elif step[0] == "measure":
-            _, role, basis, qubits = step
-            # Looked up per call, so a rebound qsim.measure_* (a tracer's
-            # wrapper, say) is the one that runs.
-            measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}[basis]
-            outcomes[role], state = measure(state, *qubits, rng)
+    if not schedule:
+        return TreeNode(None, (), None, (), state)
+    step, rest = schedule[0], schedule[1:]
+    if step[0] == "gate":
+        return schedule_tree(apply_gate(state, step[1], step[2]), rest)
+    if step[0] == "measure":
+        _, role, basis, qubits = step
+        if basis == "bell":
+            _check_pair(state, *qubits)
         else:
-            _, role, alphabet = step
-            outcomes[role] = alphabet[rng.integers(len(alphabet))]
-    return outcomes, state
+            state._check_qubit(*qubits)
+        probs, collapse = _project(state, basis, qubits)
+        born = _Born(probs)
+        children = tuple(
+            schedule_tree(collapse(i), rest) if p > 0.0 else None for i, p in enumerate(born.probs)
+        )
+        return TreeNode(role, OUTCOMES[basis], born, children, state)
+    _, role, alphabet = step
+    return TreeNode(role, tuple(alphabet), None, (schedule_tree(state, rest),) * len(alphabet), state)
+
+
+def tree_branches(tree: TreeNode, cutoff: float = 1e-15) -> list[tuple[float, dict, tuple]]:
+    """(joint probability, outcomes by role, path) of every branch of
+    `tree` whose probability exceeds `cutoff` at each measurement, ordered
+    by the first step's outcome, then the second's, each in alphabet
+    order.  A path is the tuple of child indices `sample_tree` returns."""
+    branches = []
+
+    def visit(node, probability, outcomes, path):
+        if not node.children:
+            branches.append((probability, outcomes, path))
+        for index, (outcome, child) in enumerate(zip(node.outcomes, node.children)):
+            if node.born is None:
+                p = probability / len(node.children)
+            else:
+                p = probability * node.born.probs[index]
+                if not p > cutoff:
+                    continue
+            visit(child, p, {**outcomes, node.role: outcome}, path + (index,))
+
+    visit(tree, 1.0, {}, ())
+    return branches
+
+
+def sample_tree(tree: TreeNode, rng) -> tuple[tuple[int, ...], TreeNode]:
+    """One branch of `tree`, drawn from `rng` in time order: one
+    `rng.random()` per measurement, one `rng.integers` per random step.
+    Returns the child indices taken and the leaf reached."""
+    path = []
+    node = tree
+    while node.children:
+        born = node.born
+        index = int(rng.integers(len(node.children))) if born is None else born.pick(rng.random())
+        path.append(index)
+        node = node.children[index]
+    return tuple(path), node
+
+
+def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
+    """Sample one branch of a step schedule run on `state` (see
+    `schedule_tree`): the outcomes by role and the final state."""
+    node = schedule_tree(state, schedule)
+    path, leaf = sample_tree(node, rng)
+    outcomes = {}
+    for index in path:
+        outcomes[node.role] = node.outcomes[index]
+        node = node.children[index]
+    return outcomes, leaf.state
 
 
 def enumerate_schedule(state: StateVector, schedule) -> list[tuple[float, dict]]:
     """(Born probability, outcomes by role) of every branch of a schedule
-    run on `state` whose probability exceeds 1e-15, ordered by the first
-    step's outcome, then the second's, each in alphabet order."""
-    branches = [(1.0, {}, state)]
-    for step in schedule:
-        grown = []
-        for probability, outcomes, current in branches:
-            if step[0] == "gate":
-                grown.append((probability, outcomes, apply_gate(current, step[1], step[2])))
-            elif step[0] == "measure":
-                _, role, basis, qubits = step
-                probs, collapse = _project(current, basis, qubits)
-                for index, outcome in enumerate(OUTCOMES[basis]):
-                    p = probability * float(probs[index])
-                    if p > 1e-15:
-                        grown.append((p, {**outcomes, role: outcome}, collapse(index)))
-            else:
-                _, role, alphabet = step
-                for outcome in alphabet:
-                    grown.append((probability / len(alphabet), {**outcomes, role: outcome}, current))
-        branches = grown
-    return [(probability, outcomes) for probability, outcomes, _ in branches]
+    run on `state` whose probability exceeds 1e-15 (see `tree_branches`)."""
+    return [(p, outcomes) for p, outcomes, _ in tree_branches(schedule_tree(state, schedule))]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ class TestRunConfig:
     def test_integer_fields_reject_non_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["check_fraction", "abort_threshold", "noise_probability"])
+    @pytest.mark.parametrize("value", ["0.5", None, "x", True], ids=repr)
+    def test_real_fields_reject_non_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            RunConfig(**{field: value})
+
+    def test_session_count_cap(self):
+        assert RunConfig(rounds_repeat=harness.MAX_SESSIONS).rounds_repeat == harness.MAX_SESSIONS
+        for count in (harness.MAX_SESSIONS + 1, 10**12):
+            with pytest.raises(ConfigError, match=f"rounds_repeat .* got {count}$"):
+                RunConfig(rounds_repeat=count)
 
     def test_session_round_cap_names_the_count(self):
         with pytest.raises(ConfigError) as info:
@@ -339,6 +352,12 @@ class TestIdentitiesAndTables:
         for rows in tables.values():
             assert len(rows) == 8  # 4 reachable pairs per bit
 
+    def test_render_tables_matches_the_pinned_output(self):
+        # tests/data/tables.txt is `qsdc tables` output: render_tables()
+        # plus print's newline
+        pinned = (Path(__file__).parent / "data" / "tables.txt").read_bytes()
+        assert (render_tables() + "\n").encode() == pinned
+
     def test_render_tables_mentions_all_outcomes(self):
         text = render_tables()
         for name in ("PHI_PLUS", "PSI_MINUS", "PLUS", "MINUS"):
@@ -424,13 +443,22 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag",
         [["--bits", "-5"], ["--protocol", "3"], ["--variant", "x"], ["--trent", "spy"],
-         ["--bits", "many"], ["--bits", "1000", "--check-fraction", "0.999999"]],
+         ["--bits", "many"], ["--bits", "1000", "--check-fraction", "0.999999"],
+         ["--repeat", "1000000000000"], ["--noise", "nan"]],
         ids=" ".join,
     )
     def test_bad_config_value_exits_nonzero(self, capsys, flag):
         # flag values go through the same parsers as config-file values
         assert cli.main(["run", *flag]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    def test_session_cap_exits_before_running(self, monkeypatch, capsys):
+        def run_experiment(config):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(harness, "run_experiment", run_experiment)
+        assert cli.main(["run", "--repeat", "1000000000000"]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: rounds_repeat")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"

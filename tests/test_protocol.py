@@ -5,6 +5,7 @@ import pytest
 
 import oracle
 from fit import binomial_tails, chi2_critical
+from qsdc import adversary, qsim
 from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.protocol import (
@@ -21,6 +22,7 @@ from qsdc.protocol import (
     run_round,
     run_round_statevector,
     run_session,
+    schedule,
 )
 from qsdc.qsim import ATOL, BellOutcome, Gate, XOutcome, ZOutcome, fidelity, make_ghz
 
@@ -111,11 +113,14 @@ class TestDecodeTables:
     @pytest.fixture
     def encoding_rules(self, monkeypatch):
         """Install other encoding rules for both variants, clearing the
-        encoded-state and decode-map caches around the swap."""
+        encoded-state, decode-map, round-tree and branch-table caches
+        around the swap."""
 
         def clear():
             protocol_module._encoded_ghz.cache_clear()
             protocol_module._decode_map.cache_clear()
+            protocol_module._round_tree.cache_clear()
+            round_distribution.cache_clear()
 
         def install(bit0, bit1):
             rules = {variant: {0: bit0, 1: bit1} for variant in EncodingVariant}
@@ -305,6 +310,89 @@ def test_sampler_fits_pooled_over_all_configurations(sampler):
     statistic = sum(x for x, _ in results)
     df = sum(d for _, d in results)
     assert statistic < chi2_critical(df, FALSE_ALARM), (statistic, df)
+
+
+def replay_round(protocol, variant, bit, trent, generator, is_check_bit):
+    """One round run step by step over `schedule(...)` with the qsim
+    primitives, drawing from `generator` in time order."""
+    state = encode_bit(variant, bit, make_ghz())
+    measure = {"z": qsim.measure_z, "x": qsim.measure_x, "bell": qsim.measure_bell}
+    outcomes = {}
+    for step in schedule(protocol, trent):
+        if step[0] == "gate":
+            state = qsim.apply_gate(state, step[1], step[2])
+        elif step[0] == "measure":
+            _, role, basis, qubits = step
+            outcomes[role], state = measure[basis](state, *qubits, generator)
+        else:
+            _, role, alphabet = step
+            outcomes[role] = alphabet[generator.integers(len(alphabet))]
+    record = adversary.attack_record(outcomes)
+    return RoundTranscript(
+        protocol=protocol,
+        variant=variant,
+        sent_bit=bit,
+        is_check_bit=is_check_bit,
+        trent_announcement=outcomes["trent"],
+        bob_measurement=outcomes["bob"],
+        decoded_bit=decode(protocol, outcomes["trent"], outcomes["bob"]),
+        adversary_guess=None if record is None else record.guessed_bit,
+        adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
+    )
+
+
+class _Zeros:
+    """Stands in for a generator whose every draw is 0: each measurement
+    takes its first outcome of positive probability, however small."""
+
+    def random(self):
+        return 0.0
+
+    def integers(self, n):
+        return 0
+
+
+def branch_key(t: RoundTranscript):
+    return (t.trent_announcement, t.bob_measurement, t.adversary_raw)
+
+
+class TestRoundTree:
+    def test_statevector_rounds_match_a_step_by_step_replay(self):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            for seed in range(20):
+                walked, replayed = rng(seed), rng(seed)
+                for is_check_bit in (False, True):
+                    t = run_round_statevector(protocol, variant, bit, TRENTS[name], walked, is_check_bit)
+                    assert t == replay_round(protocol, variant, bit, TRENTS[name], replayed, is_check_bit)
+                assert walked.random() == replayed.random()
+
+    def test_warm_rounds_run_no_gate_and_no_projection(self, monkeypatch):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
+
+        def physics(*args, **kwargs):
+            raise AssertionError("state-vector physics after warm-up")
+
+        monkeypatch.setattr(qsim, "_project", physics)
+        monkeypatch.setattr(qsim, "apply_gate", physics)
+        generator = rng(1)
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            for _ in range(20):
+                run_round_statevector(protocol, variant, bit, TRENTS[name], generator)
+            run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
+
+    def test_leaves_below_the_table_cutoff_get_their_fields(self):
+        # 64 conditional probabilities of the 32 round trees are about
+        # 1e-33: positive, so the tree walks them, but below the 1e-15
+        # cutoff, so round_distribution has no row for them.  An all-zero
+        # draw reaches such a leaf in some configurations.
+        below_cutoff = 0
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            t = run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
+            assert t == replay_round(protocol, variant, bit, TRENTS[name], _Zeros(), False)
+            _, branches = round_distribution(protocol, variant, bit, TRENTS[name])
+            below_cutoff += branch_key(t) not in {branch_key(b) for b in branches}
+        assert below_cutoff > 0
 
 
 class TestCorrespondenceTables:

@@ -79,6 +79,15 @@ class TestStateVector:
         with pytest.raises(ValueError, match="normalized"):
             StateVector(num_qubits=1, amplitudes=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[np.nan, 1.0], [np.inf, 0.0], [S2, 0, 0, 0, 0, 0, np.nan, S2]],
+        ids=["nan-1", "inf-1", "nan-3"],
+    )
+    def test_rejects_a_norm_that_is_not_finite(self, amplitudes):
+        with pytest.raises(ValueError, match="not normalized"):
+            make_state(amplitudes)
+
     def test_rejects_bad_qubit_count(self):
         with pytest.raises(ValueError, match="num_qubits"):
             StateVector(num_qubits=4, amplitudes=np.ones(16) / 4.0)
@@ -359,6 +368,19 @@ class TestSchedules:
             t, expected = measure_x(expected, 1, generator)
             assert outcomes == {"a": a, "r": r, "ab": ab, "t": t}
             assert np.array_equal(state.amplitudes, expected.amplitudes)
+
+    def test_tree_drops_impossible_outcomes_and_shares_random_subtrees(self):
+        steps = (("measure", "a", "z", (0,)), ("random", "r", ("p", "q")))
+        tree = qsim.schedule_tree(make_state([1, 0]), steps)
+        assert tree.born.probs == [1.0, 0.0] and tree.children[1] is None
+        random_step = tree.children[0]
+        assert random_step.children[0] is random_step.children[1]
+        assert not random_step.children[0].children
+        zero = ZOutcome.ZERO
+        assert qsim.tree_branches(tree) == [
+            (0.5, {"a": zero, "r": "p"}, (0, 0)),
+            (0.5, {"a": zero, "r": "q"}, (0, 1)),
+        ]
 
     def test_enumeration_is_complete_and_matches_the_born_rule(self):
         branches = list(qsim.enumerate_schedule(make_ghz(), self.SCHEDULE))
