@@ -229,8 +229,8 @@ def run_round_statevector(
     round's state-vector branch tree.
 
     Each measurement on the way draws one `rng.random()` against the
-    Born probabilities of its post-measurement state, each random step
-    one `rng.integers`, in time order, exactly as `qsim.sample_schedule`
+    Born probabilities of the state it measures, each random step one
+    `rng.integers`, in time order, exactly as `qsim.sample_schedule`
     does.  The tree and the fields of every path are built once per
     (protocol, variant, bit, strategy), so a round runs no gate and no
     projection.  This is the reference `run_round` is checked against.
