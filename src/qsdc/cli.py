@@ -3,6 +3,7 @@ decomposition identities, and print the honest correspondence `tables`."""
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -115,7 +116,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The `qsdc` parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qsdc",
         description="GHZ direct-communication protocol simulator with insider-attack analysis",

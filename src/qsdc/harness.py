@@ -18,7 +18,7 @@ from .adversary import StrategyKind, TrentStrategy
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import BellOutcome, StateVector, XOutcome
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 MAX_SESSIONS = 10**6  # sessions in one run; protocol.MAX_SESSION_ROUNDS caps each
 
@@ -132,26 +132,28 @@ class RunReport:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        """One row per session plus a summary row."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"]
+        """One row per session plus a summary row.  Sessions that share one
+        SessionStats object have their cells formatted once."""
+        ids = list(map(id, self.sessions))
+        cells = {
+            key: _csv_row([s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction])
+            for key, s in dict(zip(ids, self.sessions)).items()
+        }
+        header = ["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"]
+        summary = [self.bob_error_rate, self.abort_fraction, self.trent_guess_accuracy,
+                   self.z_equal_fraction]
+        return (
+            _csv_row(header)
+            + "".join(f"session_{i},{row}" for i, row in enumerate(map(cells.__getitem__, ids)))
+            + _csv_row(["summary", *summary])
         )
-        for i, s in enumerate(self.sessions):
-            writer.writerow(
-                [f"session_{i}", s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction]
-            )
-        writer.writerow(
-            [
-                "summary",
-                self.bob_error_rate,
-                self.abort_fraction,
-                self.trent_guess_accuracy,
-                self.z_equal_fraction,
-            ]
-        )
-        return buf.getvalue()
+
+
+def _csv_row(cells: list) -> str:
+    """`cells` as one line of `csv.writer` output."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(cells)
+    return buf.getvalue()
 
 
 _Z95 = 1.96  # two-sided 95% standard normal quantile
@@ -179,58 +181,70 @@ def binomial_interval(successes: int, trials: int) -> tuple[float, float]:
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute `rounds_repeat` seeded sessions and aggregate their metrics.
 
-    Every reported number is a sum over (session, role, bit, branch)
-    counts and rounds are independent given their bit, so no round,
-    message or `SessionPlan` is materialized.  One generator seeded with
-    `config.seed` draws, for all sessions at once, how many of each
-    session's message and check rounds (`protocol.check_round_count`)
-    carry each bit, a two-cell multinomial, i.e. Binomial(rounds, 1/2);
-    then each (role, bit)'s branch counts from the multinomial over that
-    bit's exact branch distribution, and each check count's noise flips
-    from a binomial.  Same config, same report bytes.
+    A round takes the (bit, branch) cell of the exact tables with
+    probability 0.5 * p.  Sessions count only whether a round decodes
+    wrongly, whether Trent guesses its bit and whether his z outcomes
+    agree, so the cells group into at most eight outcome classes.  One
+    generator seeded with `config.seed` draws every session's message and
+    check class counts (one multinomial), the flips of their wrong and
+    correct check counts (two binomials), then the histogram (one
+    multinomial per class over its cells: given its class, a round's cell
+    is independent of its session and flips).  No round, message or
+    `SessionPlan` is materialized, and sessions with equal counts share
+    one `SessionStats`.  Same config, same report bytes.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     n_message = config.message_length
     n_check = protocol.check_round_count(n_message, config.check_fraction)
-    # bit_counts[session][role][bit]; role 0 = message, 1 = check
-    bit_counts = rng.multinomial([n_message, n_check], [0.5, 0.5], (config.rounds_repeat, 2))
-
     attacked = config.trent.kind is StrategyKind.ATTACK
-    errors = hits = equal = np.zeros(config.rounds_repeat, dtype=np.int64)
-    histogram: Counter[str] = Counter()
+
+    # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells
+    classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
     for bit in (0, 1):
         _, branches = protocol.round_distribution(
             config.protocol, config.variant, bit, config.trent
         )
-        p = np.array([b.probability for b in branches])
-        # cells[session][role][branch]; p sums to 1 only up to rounding
-        cells = rng.multinomial(bit_counts[:, :, bit], p / p.sum())
-        checks = cells[:, 1]
-        # A flip turns a correct check round into an error and a wrong one
-        # into a correct one.
-        flips = rng.binomial(checks, config.noise_probability)
-        wrong = np.array([b.decoded_bit != bit for b in branches])
-        errors = errors + np.where(wrong, checks - flips, flips).sum(axis=1)
-        rounds = cells.sum(axis=1)
-        if attacked:
-            hits = hits + rounds @ np.array([b.adversary_guess == bit for b in branches])
-            z_equal = [b.adversary_raw[0] == b.adversary_raw[1] for b in branches]
-            equal = equal + rounds @ np.array(z_equal)
-        for b, count in zip(branches, rounds.sum(axis=0).tolist()):
+        for b in branches:
+            z_equal = attacked and b.adversary_raw[0] == b.adversary_raw[1]
+            key = (b.decoded_bit != bit, b.adversary_guess == bit, z_equal)
+            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
+            classes.setdefault(key, []).append((0.5 * b.probability, label))
+    wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
+    p_class = np.array([sum(p for p, _ in cells) for cells in classes.values()])
+    # counts[session][role][class]; role 0 = message, 1 = check; the
+    # probabilities sum to 1 only up to rounding
+    counts = rng.multinomial(
+        [n_message, n_check], p_class / p_class.sum(), (config.rounds_repeat, 2)
+    )
+    # A flip turns a correct check round into an error and a wrong one
+    # into a correct one.
+    wrong_checks, q = counts[:, 1] @ wrong, config.noise_probability
+    errors = wrong_checks - rng.binomial(wrong_checks, q) + rng.binomial(n_check - wrong_checks, q)
+    rounds = counts.sum(axis=1)
+    hits, equals = rounds @ hit, rounds @ equal
+
+    histogram: Counter[str] = Counter()
+    for cells, total in zip(classes.values(), rounds.sum(axis=0).tolist()):
+        p_cell = np.array([p for p, _ in cells])
+        drawn = rng.multinomial(total, p_cell / p_cell.sum()).tolist()
+        for (_, label), count in zip(cells, drawn):
             if count:
-                histogram[f"{b.trent_announcement.name}/{b.bob_measurement.name}"] += count
+                histogram[label] += count
 
     n_rounds = n_message + n_check
-    sessions = tuple(
-        SessionStats(
+    aborted = errors / n_check > config.abort_threshold
+    rows = list(zip(errors.tolist(), aborted.tolist(), hits.tolist(), equals.tolist()))
+    shared = {
+        (e, a, h, z): SessionStats(
             error_rate=e / n_check,
-            aborted=e / n_check > config.abort_threshold,
+            aborted=a,
             guess_accuracy=h / n_rounds if attacked else None,
-            z_equal_fraction=q / n_rounds if attacked else None,
+            z_equal_fraction=z / n_rounds if attacked else None,
         )
-        for e, h, q in zip(errors.tolist(), hits.tolist(), equal.tolist())
-    )
+        for e, a, h, z in set(rows)
+    }
+    sessions = tuple(map(shared.__getitem__, rows))
     total_rounds, check_total = n_rounds * config.rounds_repeat, n_check * config.rounds_repeat
     check_errors, guess_hits = int(errors.sum()), int(hits.sum())
     return RunReport(
@@ -241,8 +255,8 @@ def run_experiment(config: RunConfig) -> RunReport:
         bob_error_interval=binomial_interval(check_errors, check_total),
         trent_guess_accuracy=guess_hits / total_rounds if attacked else None,
         trent_guess_interval=binomial_interval(guess_hits, total_rounds) if attacked else None,
-        z_equal_fraction=int(equal.sum()) / total_rounds if attacked else None,
-        abort_fraction=sum(s.aborted for s in sessions) / config.rounds_repeat,
+        z_equal_fraction=int(equals.sum()) / total_rounds if attacked else None,
+        abort_fraction=int(np.count_nonzero(aborted)) / config.rounds_repeat,
         histogram=dict(histogram),
         sessions=sessions,
         wall_time=time.perf_counter() - start,

@@ -207,14 +207,21 @@ def _outcome_fields(protocol: ProtocolId, outcomes: dict) -> dict:
 def _round_tree(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
 ) -> tuple[qsim.TreeNode, dict]:
-    """The exact branch tree of one round and the RoundTranscript fields
-    of each of its paths of positive probability, by path; cached."""
+    """The exact branch tree of one round and, by path of positive
+    probability, the path's RoundTranscript as a message round and as a
+    check round (indexed by `is_check_bit`, False then True); cached."""
     tree = qsim.schedule_tree(_encoded_ghz(variant, bit), schedule(protocol, trent))
-    fields = {
-        path: _outcome_fields(protocol, outcomes)
+    transcripts = {
+        path: tuple(
+            RoundTranscript(
+                protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
+                **_outcome_fields(protocol, outcomes),
+            )
+            for check in (False, True)
+        )
         for _, outcomes, path in qsim.tree_branches(tree, cutoff=0.0)
     }
-    return tree, fields
+    return tree, transcripts
 
 
 def run_round_statevector(
@@ -231,19 +238,14 @@ def run_round_statevector(
     Each measurement on the way draws one `rng.random()` against the
     Born probabilities of the state it measures, each random step one
     `rng.integers`, in time order, exactly as `qsim.sample_schedule`
-    does.  The tree and the fields of every path are built once per
-    (protocol, variant, bit, strategy), so a round runs no gate and no
-    projection.  This is the reference `run_round` is checked against.
+    does.  The tree and the two transcripts of every path are built once
+    per (protocol, variant, bit, strategy), so a round runs no gate and no
+    projection and builds no transcript.  This is the reference
+    `run_round` is checked against.
     """
-    tree, fields = _round_tree(protocol, variant, bit, trent)
+    tree, transcripts = _round_tree(protocol, variant, bit, trent)
     path, _ = qsim.sample_tree(tree, rng)
-    return RoundTranscript(
-        protocol=protocol,
-        variant=variant,
-        sent_bit=bit,
-        is_check_bit=is_check_bit,
-        **fields[path],
-    )
+    return transcripts[path][bool(is_check_bit)]
 
 
 @dataclass(frozen=True)
@@ -268,9 +270,10 @@ def round_distribution(
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple supports bisection sampling.
     """
-    tree, fields = _round_tree(protocol, variant, bit, trent)
+    tree, _ = _round_tree(protocol, variant, bit, trent)
     branches = tuple(
-        RoundBranch(probability=p, **fields[path]) for p, _, path in qsim.tree_branches(tree)
+        RoundBranch(probability=p, **_outcome_fields(protocol, outcomes))
+        for p, outcomes, _ in qsim.tree_branches(tree)
     )
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:

@@ -28,14 +28,44 @@ def chi2_critical(df: int, alpha: float) -> float:
     return high
 
 
-def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
-    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p) with 0 < p < 1,
-    summed exactly term by term, each term taken in log space."""
-
-    def pmf(i: int) -> float:
-        return math.exp(
+def binomial_pmf(n: int, p: float) -> list[float]:
+    """P(X = i) for i = 0..n and X ~ Binomial(n, p) with 0 < p < 1, each
+    term taken in log space."""
+    return [
+        math.exp(
             math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
             + i * math.log(p) + (n - i) * math.log1p(-p)
         )
+        for i in range(n + 1)
+    ]
 
-    return sum(pmf(i) for i in range(k + 1)), sum(pmf(i) for i in range(k, n + 1))
+
+def binomial_tails(k: int, n: int, p: float) -> tuple[float, float]:
+    """(P(X <= k), P(X >= k)) for X ~ Binomial(n, p) with 0 < p < 1,
+    summed exactly term by term."""
+    pmf = binomial_pmf(n, p)
+    return sum(pmf[: k + 1]), sum(pmf[k:])
+
+
+MIN_EXPECTED = 5.0  # smallest expected count of a chi-square bin
+
+
+def binomial_fit(values: list[int], n: int, p: float) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom of the sample `values`
+    against Binomial(n, p).  The outcomes expected at least MIN_EXPECTED
+    times form a contiguous run lo..hi (the pmf is unimodal); every
+    outcome below lo is pooled into lo's bin and every one above hi into
+    hi's, so the tail bins are X <= lo and X >= hi."""
+    expected = [len(values) * q for q in binomial_pmf(n, p)]
+    kept = [i for i, e in enumerate(expected) if e >= MIN_EXPECTED]
+    lo, hi = kept[0], kept[-1]
+    assert hi > lo, "fewer than two bins"
+    observed = [0] * (n + 1)
+    for value in values:
+        observed[value] += 1
+
+    def bins(counts):
+        return [sum(counts[: lo + 1]), *counts[lo + 1 : hi], sum(counts[hi:])]
+
+    statistic = sum((o - e) ** 2 / e for o, e in zip(bins(observed), bins(expected)))
+    return statistic, hi - lo

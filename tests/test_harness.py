@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from fit import binomial_tails, chi2_critical
+from fit import binomial_fit, binomial_tails, chi2_critical
 from qsdc import cli, harness
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
 from qsdc.harness import (
@@ -261,9 +263,29 @@ ERROR_CONFIGS = {
         seed=106, rounds_repeat=4, noise_probability=0.2,
     ),
 }
-# False-alarm probability of each check.  With 5 + 2 checks, a correct
+# Per-session counts against their exact binomial law, one chi-square
+# check per config: abort is decided per session, which the pooled checks
+# above cannot see.  Each check round errs independently with probability
+# w(1 - q) + (1 - w)q, for noiseless error probability w and noise q.
+SESSION_ERROR_CONFIGS = {
+    "p2-revised-honest-noisy": RunConfig(
+        protocol=P2, variant=REVISED, message_length=100, seed=109, rounds_repeat=2000,
+        noise_probability=0.05,
+    ),
+    "p1-original-attack-noisy": RunConfig(
+        protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(), message_length=100,
+        seed=110, rounds_repeat=1000, noise_probability=0.1,
+    ),
+}
+# Against the revised encoding Trent guesses each round's bit with
+# probability 1/2, independently.
+SESSION_HIT_CONFIG = RunConfig(
+    protocol=P2, variant=REVISED, trent=TrentStrategy.attack(), message_length=100, seed=111,
+    rounds_repeat=1000, noise_probability=0.05,
+)
+# False-alarm probability of each check.  With 5 + 2 + 3 checks, a correct
 # sampler fails this class on an arbitrary seed with probability at most
-# 7e-6.  No check is retried or re-seeded.
+# 1e-5.  No check is retried or re-seeded.
 FALSE_ALARM = 1e-6
 
 
@@ -313,6 +335,79 @@ class TestSamplerFit:
         errors = round(report.bob_error_rate * n)
         lower, upper = binomial_tails(errors, n, check_error_probability(config))
         assert min(lower, upper) > FALSE_ALARM / 2, (errors, n * check_error_probability(config))
+
+
+class TestSessionFit:
+    @pytest.mark.parametrize("name", list(SESSION_ERROR_CONFIGS))
+    def test_session_check_errors_follow_their_binomial(self, name):
+        config = SESSION_ERROR_CONFIGS[name]
+        report = run_experiment(config)
+        n_check = check_round_count(config.message_length, config.check_fraction)
+        errors = [round(s.error_rate * n_check) for s in report.sessions]
+        assert len(errors) == config.rounds_repeat
+        statistic, df = binomial_fit(errors, n_check, check_error_probability(config))
+        assert statistic < chi2_critical(df, FALSE_ALARM), (statistic, df)
+
+    def test_session_guess_hits_follow_binomial_one_half(self):
+        config = SESSION_HIT_CONFIG
+        report = run_experiment(config)
+        n_rounds = report.total_rounds // config.rounds_repeat
+        hits = [round(s.guess_accuracy * n_rounds) for s in report.sessions]
+        statistic, df = binomial_fit(hits, n_rounds, 0.5)
+        assert statistic < chi2_critical(df, FALSE_ALARM), (statistic, df)
+
+    @pytest.mark.parametrize("protocol", [P1, P2])
+    @pytest.mark.parametrize("variant", [ORIGINAL, REVISED])
+    def test_exact_session_rates_under_attack(self, protocol, variant):
+        # The original encoding leaks every bit; against the revised one
+        # Trent's two z outcomes always agree.
+        report = run_experiment(
+            RunConfig(protocol=protocol, variant=variant, trent=TrentStrategy.attack(),
+                      message_length=50, seed=112, rounds_repeat=300, noise_probability=0.1)
+        )
+        if variant is ORIGINAL:
+            assert {s.guess_accuracy for s in report.sessions} == {1.0}
+        else:
+            assert {s.z_equal_fraction for s in report.sessions} == {1.0}
+
+
+def reference_csv(report) -> str:
+    """`report.to_csv()` as one csv.writer call per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"])
+    for i, s in enumerate(report.sessions):
+        writer.writerow(
+            [f"session_{i}", s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction]
+        )
+    writer.writerow(
+        ["summary", report.bob_error_rate, report.abort_fraction, report.trent_guess_accuracy,
+         report.z_equal_fraction]
+    )
+    return buf.getvalue()
+
+
+class TestCsv:
+    def test_attacked_noisy_csv_matches_the_writer(self):
+        report = run_experiment(
+            RunConfig(protocol=P1, variant=REVISED, trent=TrentStrategy.attack(),
+                      message_length=10, seed=13, rounds_repeat=200, noise_probability=0.1,
+                      abort_threshold=0.5)
+        )
+        rows = reference_csv(report).splitlines()[1:-1]
+        assert len(rows) == 200
+        assert {row.split(",")[2] for row in rows} == {"0", "1"}
+        assert len({row.partition(",")[2] for row in rows}) < 200  # repeated rows
+        assert report.to_csv() == reference_csv(report)
+
+    def test_honest_csv_matches_the_writer(self):
+        report = run_experiment(
+            RunConfig(protocol=P2, variant=REVISED, message_length=20, seed=14,
+                      rounds_repeat=200, noise_probability=0.05)
+        )
+        text = reference_csv(report)
+        assert "," * 2 + "\n" in text  # the empty attack cells
+        assert report.to_csv() == text
 
 
 class TestBitCounts:
