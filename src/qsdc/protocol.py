@@ -8,10 +8,15 @@ the announcement with his own result to decode the bit.
 
 Each round is written once, as the step schedule `schedule(protocol,
 trent)`, with Trent's steps from `adversary.trent_steps`.  The rest is
-derived from it: its exact branch tree (`qsim.schedule_tree`) is built
-once per (protocol, variant, bit, strategy), `round_distribution`
-flattens that tree and `run_round_statevector` walks it, `decode` reads
-Bob's rule off the honest branches, and the `qsdc tables` rows
+derived from it.  Once per (protocol, variant, bit, strategy) its exact
+branch tree (`qsim.schedule_tree`) is built and flattened once into one
+record: the branches and their cumulative probabilities, which
+`round_distribution` returns, each leaf's branch by path, and each
+branch's transcript as a message and as a check round.
+`run_round_statevector` walks the tree, `run_round` and `run_session`
+draw from the cumulative table, and all three return the branch's
+shared transcript.  `decode` reads Bob's rule off the same flattening
+of the honest rounds, and the `qsdc tables` rows
 (`honest_correspondence_table`) are the honest distribution.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,14 +170,23 @@ def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
 
 
 @functools.cache
+def _walked_tree(
+    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
+) -> tuple[qsim.TreeNode, list]:
+    """The round's exact branch tree and its one flattening
+    (`qsim.tree_branches`), cached per (protocol, variant, bit, strategy)."""
+    tree = qsim.schedule_tree(_encoded_ghz(variant, bit), schedule(protocol, trent))
+    return tree, qsim.tree_branches(tree)
+
+
+@functools.cache
 def _decode_map(protocol: ProtocolId) -> dict:
     """(announcement, Bob's result) -> bit, read off the honest branches
     of both encodings; raises unless single-valued and total."""
     table = {}
-    steps = schedule(protocol, TrentStrategy.honest())
     for variant in EncodingVariant:
         for bit in (0, 1):
-            for _, outcomes in qsim.enumerate_schedule(_encoded_ghz(variant, bit), steps):
+            for _, outcomes, _ in _walked_tree(protocol, variant, bit, TrentStrategy.honest())[1]:
                 key = (outcomes["trent"], outcomes["bob"])
                 if table.setdefault(key, bit) != bit:
                     raise ValueError(f"decode map not single-valued at {key}")
@@ -190,38 +205,72 @@ def decode(protocol: ProtocolId, announcement, measurement) -> int:
     return _decode_map(protocol)[(announcement, measurement)]
 
 
-def _outcome_fields(protocol: ProtocolId, outcomes: dict) -> dict:
-    """The RoundTranscript fields a walk of the round schedule determines."""
-    announcement, measurement = outcomes["trent"], outcomes["bob"]
-    record = adversary.attack_record(outcomes)
-    return dict(
-        trent_announcement=announcement,
-        bob_measurement=measurement,
-        decoded_bit=decode(protocol, announcement, measurement),
-        adversary_guess=None if record is None else record.guessed_bit,
-        adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
-    )
+@dataclass(frozen=True)
+class RoundBranch:
+    """One measurement branch of a round, with its exact Born probability."""
+
+    probability: float
+    trent_announcement: XOutcome | BellOutcome
+    bob_measurement: BellOutcome | XOutcome
+    decoded_bit: int
+    adversary_guess: int | None
+    adversary_raw: tuple[ZOutcome, ZOutcome] | None
+
+
+class _Round(NamedTuple):
+    """One round configuration, built once from its exact branch tree."""
+
+    tree: qsim.TreeNode
+    cumulative: tuple[float, ...]  # running sums of the branch probabilities
+    branches: tuple[RoundBranch, ...]  # in `qsim.tree_branches` order
+    branch_of: dict  # leaf path (as `qsim.sample_tree` returns it) -> branch index
+    transcripts: tuple  # per branch, its RoundTranscript as a message and as a check round
 
 
 @functools.cache
-def _round_tree(
-    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
-) -> tuple[qsim.TreeNode, dict]:
-    """The exact branch tree of one round and, by path of positive
-    probability, the path's RoundTranscript as a message round and as a
-    check round (indexed by `is_check_bit`, False then True); cached."""
-    tree = qsim.schedule_tree(_encoded_ghz(variant, bit), schedule(protocol, trent))
-    transcripts = {
-        path: tuple(
-            RoundTranscript(
-                protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
-                **_outcome_fields(protocol, outcomes),
-            )
-            for check in (False, True)
+def _round(protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy) -> _Round:
+    """The round's record, cached per (protocol, variant, bit, strategy);
+    raises unless the branches sum to 1."""
+    tree, walked = _walked_tree(protocol, variant, bit, trent)
+    branches, transcripts = [], []
+    for p, outcomes, _ in walked:
+        announcement, measurement = outcomes["trent"], outcomes["bob"]
+        record = adversary.attack_record(outcomes)
+        fields = dict(
+            trent_announcement=announcement,
+            bob_measurement=measurement,
+            decoded_bit=decode(protocol, announcement, measurement),
+            adversary_guess=None if record is None else record.guessed_bit,
+            adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
         )
-        for _, outcomes, path in qsim.tree_branches(tree, cutoff=0.0)
-    }
-    return tree, transcripts
+        branches.append(RoundBranch(probability=p, **fields))
+        transcripts.append(tuple(
+            RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check, **fields)
+            for check in (False, True)
+        ))
+    total = sum(b.probability for b in branches)
+    if abs(total - 1.0) > 1e-9:
+        raise AssertionError(f"branch probabilities sum to {total}")
+    return _Round(
+        tree=tree,
+        cumulative=tuple(np.cumsum([b.probability for b in branches])),
+        branches=tuple(branches),
+        branch_of={path: index for index, (_, _, path) in enumerate(walked)},
+        transcripts=tuple(transcripts),
+    )
+
+
+def round_distribution(
+    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
+) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
+    """Cumulative probabilities and branches of one round: one branch per
+    leaf of the round's tree.
+
+    Branch probabilities sum to 1 up to float rounding; the cumulative
+    tuple supports bisection sampling.
+    """
+    record = _round(protocol, variant, bit, trent)
+    return record.cumulative, record.branches
 
 
 def run_round_statevector(
@@ -238,70 +287,14 @@ def run_round_statevector(
     Each measurement on the way draws one `rng.random()` against the
     Born probabilities of the state it measures, each random step one
     `rng.integers`, in time order, exactly as `qsim.sample_schedule`
-    does.  The tree and the two transcripts of every path are built once
-    per (protocol, variant, bit, strategy), so a round runs no gate and no
-    projection and builds no transcript.  This is the reference
+    does.  The tree and the two transcripts of every branch are built
+    once per (protocol, variant, bit, strategy), so a round runs no gate
+    and no projection and builds no transcript.  This is the reference
     `run_round` is checked against.
     """
-    tree, transcripts = _round_tree(protocol, variant, bit, trent)
-    path, _ = qsim.sample_tree(tree, rng)
-    return transcripts[path][bool(is_check_bit)]
-
-
-@dataclass(frozen=True)
-class RoundBranch:
-    """One measurement branch of a round, with its exact Born probability."""
-
-    probability: float
-    trent_announcement: XOutcome | BellOutcome
-    bob_measurement: BellOutcome | XOutcome
-    decoded_bit: int
-    adversary_guess: int | None
-    adversary_raw: tuple[ZOutcome, ZOutcome] | None
-
-
-@functools.cache
-def round_distribution(
-    protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
-) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
-    """Cumulative probabilities and branches of one round, cached: the
-    branches of the round's tree whose probability exceeds 1e-15.
-
-    Branch probabilities sum to 1 up to float rounding; the cumulative
-    tuple supports bisection sampling.
-    """
-    tree, _ = _round_tree(protocol, variant, bit, trent)
-    branches = tuple(
-        RoundBranch(probability=p, **_outcome_fields(protocol, outcomes))
-        for p, outcomes, _ in qsim.tree_branches(tree)
-    )
-    total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"branch probabilities sum to {total}")
-    return tuple(np.cumsum([b.probability for b in branches])), branches
-
-
-def _transcript(
-    protocol: ProtocolId,
-    variant: EncodingVariant,
-    bit: int,
-    branch: RoundBranch,
-    is_check_bit: bool,
-    flipped: bool = False,
-) -> RoundTranscript:
-    """The transcript of a round that took `branch`; `flipped` inverts
-    Bob's decoded bit (channel noise)."""
-    return RoundTranscript(
-        protocol=protocol,
-        variant=variant,
-        sent_bit=bit,
-        is_check_bit=is_check_bit,
-        trent_announcement=branch.trent_announcement,
-        bob_measurement=branch.bob_measurement,
-        decoded_bit=1 - branch.decoded_bit if flipped else branch.decoded_bit,
-        adversary_guess=branch.adversary_guess,
-        adversary_raw=branch.adversary_raw,
-    )
+    record = _round(protocol, variant, bit, trent)
+    path, _ = qsim.sample_tree(record.tree, rng)
+    return record.transcripts[record.branch_of[path]][bool(is_check_bit)]
 
 
 def run_round(
@@ -314,16 +307,17 @@ def run_round(
 ) -> RoundTranscript:
     """Execute one full round on a fresh GHZ triple.
 
-    Samples the round's exact joint outcome distribution, flattened once
-    per (protocol, variant, bit, strategy) from the round's branch tree,
-    with one `rng.random()`.  `run_round_statevector` walks the same tree
-    with one draw per measurement instead: the two are distributionally
-    identical and cost about the same per round.  `run_session` samples a
-    whole session from the same tables at a small fraction of this cost.
+    Samples the round's exact joint outcome distribution (see
+    `round_distribution`) with one `rng.random()` and returns the
+    branch's shared transcript, the one `run_round_statevector` returns
+    for it.  `run_round_statevector` walks the same tree with one draw
+    per measurement instead: the two are distributionally identical and
+    cost about the same per round.  `run_session` samples a whole
+    session from the same tables at a small fraction of this cost.
     """
-    cumulative, branches = round_distribution(protocol, variant, bit, trent)
-    branch = branches[min(bisect_right(cumulative, rng.random()), len(branches) - 1)]
-    return _transcript(protocol, variant, bit, branch, is_check_bit)
+    record = _round(protocol, variant, bit, trent)
+    branch = min(bisect_right(record.cumulative, rng.random()), len(record.branches) - 1)
+    return record.transcripts[branch][bool(is_check_bit)]
 
 
 def run_session(
@@ -343,7 +337,9 @@ def run_session(
     noise.  `noise_probability` is an optional classical channel-noise
     knob: each decoded bit is independently flipped with that probability,
     exercising the abort path without touching the quantum model.  Rounds
-    with the same bit, branch, check flag and flip share one transcript.
+    with the same bit, branch and check flag share the transcript
+    `run_round` returns for them; a flipped one is a copy with the decoded
+    bit inverted, shared the same way.
     A plan without check rounds is rejected: it would pass unchecked.
     """
     if plan.bits.shape != plan.is_check.shape:
@@ -357,26 +353,27 @@ def run_session(
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
     bits = plan.bits.astype(np.intp)
-    tables = [round_distribution(protocol, variant, bit, trent) for bit in (0, 1)]
+    rounds_of = [_round(protocol, variant, bit, trent) for bit in (0, 1)]
     branch = np.empty(n, dtype=np.intp)
-    for bit, (cumulative, branches) in enumerate(tables):
+    for bit, record in enumerate(rounds_of):
         rounds = bits == bit
-        picked = np.searchsorted(cumulative, uniforms[rounds], side="right")
-        branch[rounds] = np.minimum(picked, len(branches) - 1)
+        picked = np.searchsorted(record.cumulative, uniforms[rounds], side="right")
+        branch[rounds] = np.minimum(picked, len(record.branches) - 1)
 
-    # One transcript per distinct (bit, branch, is_check, flipped).
-    width = max(len(branches) for _, branches in tables)
+    # One transcript per distinct (bit, branch, is_check, flipped): the
+    # round's own unless flipped.
+    width = max(len(record.branches) for record in rounds_of)
     key = ((bits * width + branch) * 2 + plan.is_check) * 2 + flipped
     _, first, inverse, counts = np.unique(
         key, return_index=True, return_inverse=True, return_counts=True
     )
-    shared = [
-        _transcript(protocol, variant, bit, tables[bit][1][b], check, flip)
-        for bit, b, check, flip in zip(
-            bits[first].tolist(), branch[first].tolist(),
-            plan.is_check[first].tolist(), flipped[first].tolist(),
-        )
-    ]
+    shared = []
+    for bit, b, check, flip in zip(
+        bits[first].tolist(), branch[first].tolist(),
+        plan.is_check[first].tolist(), flipped[first].tolist(),
+    ):
+        t = rounds_of[bit].transcripts[b][check]
+        shared.append(replace(t, decoded_bit=1 - t.decoded_bit) if flip else t)
     transcripts = [shared[i] for i in inverse.tolist()]
 
     errors = sum(

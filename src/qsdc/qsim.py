@@ -14,8 +14,11 @@ defines the operation on the identity, and cached.
 A step schedule (gates, measurements and uniformly random symbols in
 time order) has one exact walk: `schedule_tree` applies each gate and
 projects each measurement once per branch and keeps every Born
-probability and post-measurement state.  `tree_branches` flattens the
-tree into its exact branch list and `sample_tree` walks it, one draw per
+probability and post-measurement state.  An outcome is possible only
+when its Born probability exceeds ATOL: smaller ones are rounding
+residue of exact zeros, so the tree has no branch for them and
+`measure_*` never returns them.  `tree_branches` flattens the tree into
+its exact branch list and `sample_tree` walks it, one draw per
 measurement or random step; a measurement picks its outcome by the same
 rule as `measure_*`.  `enumerate_schedule` and `sample_schedule` build
 a schedule's tree and flatten or walk it.
@@ -239,41 +242,30 @@ def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     return probs, collapse
 
 
-def z_probabilities(state: StateVector, qubit: int) -> dict[ZOutcome, float]:
-    state._check_qubit(qubit)
-    probs, _ = _project(state, "z", (qubit,))
-    return dict(zip(OUTCOMES["z"], map(float, probs)))
-
-
 def x_probabilities(state: StateVector, qubit: int) -> dict[XOutcome, float]:
     state._check_qubit(qubit)
     probs, _ = _project(state, "x", (qubit,))
     return dict(zip(OUTCOMES["x"], map(float, probs)))
 
 
-def bell_probabilities(
-    state: StateVector, qubit_a: int, qubit_b: int
-) -> dict[BellOutcome, float]:
-    _check_pair(state, qubit_a, qubit_b)
-    probs, _ = _project(state, "bell", (qubit_a, qubit_b))
-    return dict(zip(OUTCOMES["bell"], map(float, probs)))
-
-
 class _Born:
-    """Born probabilities of one measurement and the rule that turns a
-    uniform draw into an outcome: the first outcome, skipping zero
-    probabilities, whose cumulative probability exceeds the draw times
-    the total; the last positive one when rounding leaves none."""
+    """Born probabilities of one measurement, the outcomes it makes
+    possible and the rule that turns a uniform draw into one of them.
+
+    An outcome is possible when its probability exceeds ATOL; below that
+    it is rounding residue of an exact zero (about 1e-33 in the protocol
+    rounds) and never drawn.  A draw picks the first possible outcome
+    whose cumulative probability exceeds the draw times the total, the
+    last possible one when rounding leaves none."""
 
     __slots__ = ("probs", "total", "support", "cumulative")
 
     def __init__(self, probs: np.ndarray):
-        total = probs.sum()
-        if total < 1e-12:
-            raise ValueError("cannot measure a state with vanishing norm")
         self.probs = probs.tolist()
-        self.total = float(total)
-        self.support = [i for i, p in enumerate(self.probs) if p > 0.0]
+        self.total = float(probs.sum())
+        self.support = [i for i, p in enumerate(self.probs) if p > ATOL]
+        if not self.support:
+            raise ValueError("cannot measure a state with vanishing norm")
         self.cumulative = list(itertools.accumulate(self.probs[i] for i in self.support))
 
     def pick(self, u: float) -> int:
@@ -316,9 +308,10 @@ class TreeNode:
 
     A measurement node holds the Born probabilities of its state
     (`born`) and one child per outcome of `outcomes`, None where the
-    probability is 0.  A random step (`born` None) has one child per
-    symbol, all the same subtree.  A leaf has no children.  `state` is
-    the state the node's step acts on; at a leaf, the final state.
+    outcome is impossible (see `_Born`).  A random step (`born` None)
+    has one child per symbol, all the same subtree.  A leaf has no
+    children.  `state` is the state the node's step acts on; at a leaf,
+    the final state.
     """
 
     role: str | None
@@ -334,8 +327,8 @@ def schedule_tree(state: StateVector, schedule) -> TreeNode:
     A schedule is a time-ordered tuple of steps: ("gate", Gate, qubit),
     ("measure", role, "z" | "x" | "bell", qubits) or ("random", role,
     alphabet), the last a uniformly random symbol.  Each gate is applied
-    and each measurement projected once per branch; every outcome of
-    positive probability gets its subtree, however small.
+    and each measurement projected once per branch; every possible
+    outcome (Born probability above ATOL) gets its subtree.
     """
     if not schedule:
         return TreeNode(None, (), None, (), state)
@@ -351,30 +344,31 @@ def schedule_tree(state: StateVector, schedule) -> TreeNode:
         probs, collapse = _project(state, basis, qubits)
         born = _Born(probs)
         children = tuple(
-            schedule_tree(collapse(i), rest) if p > 0.0 else None for i, p in enumerate(born.probs)
+            schedule_tree(collapse(i), rest) if i in born.support else None
+            for i in range(len(probs))
         )
         return TreeNode(role, OUTCOMES[basis], born, children, state)
     _, role, alphabet = step
     return TreeNode(role, tuple(alphabet), None, (schedule_tree(state, rest),) * len(alphabet), state)
 
 
-def tree_branches(tree: TreeNode, cutoff: float = 1e-15) -> list[tuple[float, dict, tuple]]:
+def tree_branches(tree: TreeNode) -> list[tuple[float, dict, tuple]]:
     """(joint probability, outcomes by role, path) of every branch of
-    `tree` whose probability exceeds `cutoff` at each measurement, ordered
-    by the first step's outcome, then the second's, each in alphabet
-    order.  A path is the tuple of child indices `sample_tree` returns."""
+    `tree`, ordered by the first step's outcome, then the second's, each
+    in alphabet order.  A path is the tuple of child indices `sample_tree`
+    returns."""
     branches = []
 
     def visit(node, probability, outcomes, path):
         if not node.children:
             branches.append((probability, outcomes, path))
         for index, (outcome, child) in enumerate(zip(node.outcomes, node.children)):
+            if child is None:
+                continue
             if node.born is None:
                 p = probability / len(node.children)
             else:
                 p = probability * node.born.probs[index]
-                if not p > cutoff:
-                    continue
             visit(child, p, {**outcomes, node.role: outcome}, path + (index,))
 
     visit(tree, 1.0, {}, ())
@@ -409,5 +403,5 @@ def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVecto
 
 def enumerate_schedule(state: StateVector, schedule) -> list[tuple[float, dict]]:
     """(Born probability, outcomes by role) of every branch of a schedule
-    run on `state` whose probability exceeds 1e-15 (see `tree_branches`)."""
+    run on `state` (see `tree_branches`)."""
     return [(p, outcomes) for p, outcomes, _ in tree_branches(schedule_tree(state, schedule))]

@@ -521,6 +521,21 @@ class TestCli:
         assert payload["config"]["seed"] == 7  # flag wins
         assert payload["trent_guess_accuracy"] == 1.0
 
+    @pytest.mark.parametrize(
+        "pinned,flags",
+        [
+            ("run_p1_original_attack.json", ["--protocol", "1", "--trent", "attack"]),
+            ("run_p2_original_honest.csv", ["--protocol", "2", "--trent", "honest", "--format", "csv"]),
+        ],
+    )
+    def test_run_matches_the_pinned_report(self, pinned, flags, capsys):
+        # tests/data/run_* are `qsdc run` output for these flags; a change
+        # to any report byte for the same config shows here
+        argv = ["run", *flags, "--variant", "original", "--bits", "997", "--repeat", "3",
+                "--noise", "0.05", "--seed", "9"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.encode() == (Path(__file__).parent / "data" / pinned).read_bytes()
+
     def test_run_without_flags_builds_the_default_config(self):
         args = cli.make_parser().parse_args(["run"])
         assert cli.build_run_config(args) == RunConfig()

@@ -12,6 +12,7 @@ from qsdc.protocol import (
     ENCODING_RULES,
     EncodingVariant,
     ProtocolId,
+    RoundBranch,
     RoundTranscript,
     SessionPlan,
     decode,
@@ -113,14 +114,13 @@ class TestDecodeTables:
     @pytest.fixture
     def encoding_rules(self, monkeypatch):
         """Install other encoding rules for both variants, clearing the
-        encoded-state, decode-map, round-tree and branch-table caches
-        around the swap."""
+        encoded-state, decode-map, tree and round caches around the swap."""
 
         def clear():
             protocol_module._encoded_ghz.cache_clear()
             protocol_module._decode_map.cache_clear()
-            protocol_module._round_tree.cache_clear()
-            round_distribution.cache_clear()
+            protocol_module._walked_tree.cache_clear()
+            protocol_module._round.cache_clear()
 
         def install(bit0, bit1):
             rules = {variant: {0: bit0, 1: bit1} for variant in EncodingVariant}
@@ -343,7 +343,7 @@ def replay_round(protocol, variant, bit, trent, generator, is_check_bit):
 
 class _Zeros:
     """Stands in for a generator whose every draw is 0: each measurement
-    takes its first outcome of positive probability, however small."""
+    takes its first possible outcome."""
 
     def random(self):
         return 0.0
@@ -352,8 +352,9 @@ class _Zeros:
         return 0
 
 
-def branch_key(t: RoundTranscript):
-    return (t.trent_announcement, t.bob_measurement, t.adversary_raw)
+def branch_key(t: RoundTranscript | RoundBranch):
+    """The fields a RoundTranscript shares with its RoundBranch."""
+    return (t.trent_announcement, t.bob_measurement, t.decoded_bit, t.adversary_guess, t.adversary_raw)
 
 
 class TestRoundTree:
@@ -381,18 +382,53 @@ class TestRoundTree:
                 run_round_statevector(protocol, variant, bit, TRENTS[name], generator)
             run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
 
-    def test_leaves_below_the_table_cutoff_get_their_fields(self):
+    def test_each_configuration_is_flattened_once(self, monkeypatch):
+        # the decode map, the table and both samplers read one flattening
+        flattened = []
+        tree_branches = qsim.tree_branches
+        monkeypatch.setattr(qsim, "tree_branches", lambda tree: flattened.append(tree) or tree_branches(tree))
+        for cache in (protocol_module._walked_tree, protocol_module._decode_map, protocol_module._round):
+            cache.cache_clear()
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            round_distribution(protocol, variant, bit, TRENTS[name])
+            run_round(protocol, variant, bit, TRENTS[name], rng(0))
+            run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
+        assert len(flattened) == len({id(tree) for tree in flattened}) == len(SAMPLER_CONFIGS)
+
+    def test_an_all_zero_draw_lands_on_a_table_row(self):
         # 64 conditional probabilities of the 32 round trees are about
-        # 1e-33: positive, so the tree walks them, but below the 1e-15
-        # cutoff, so round_distribution has no row for them.  An all-zero
-        # draw reaches such a leaf in some configurations.
-        below_cutoff = 0
+        # 1e-33, rounding residue of exact zeros.  They are impossible
+        # outcomes, so even a walk that takes each measurement's first
+        # outcome lands on a row of the exact table, and an honest round
+        # decodes the sent bit.
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             t = run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
             assert t == replay_round(protocol, variant, bit, TRENTS[name], _Zeros(), False)
             _, branches = round_distribution(protocol, variant, bit, TRENTS[name])
-            below_cutoff += branch_key(t) not in {branch_key(b) for b in branches}
-        assert below_cutoff > 0
+            assert branch_key(t) in {branch_key(b) for b in branches}
+            if name == "honest":
+                assert t.decoded_bit == bit
+
+    def test_samplers_return_one_shared_transcript_per_branch_and_check_flag(self):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            trent = TRENTS[name]
+            cumulative, branches = round_distribution(protocol, variant, bit, trent)
+            keys = [branch_key(b) for b in branches]
+            generator = rng(7)
+
+            def table_round(index, check):
+                # run_round on a uniform in the middle of the branch's interval
+                u = cumulative[index] - branches[index].probability / 2
+                return run_round(protocol, variant, bit, trent, _Uniforms([u]), check)
+
+            for check in (False, True):
+                for index, key in enumerate(keys):
+                    t = table_round(index, check)
+                    assert table_round(index, check) is t
+                    assert branch_key(t) == key and t.is_check_bit is check
+                for _ in range(40):
+                    t = run_round_statevector(protocol, variant, bit, trent, generator, check)
+                    assert table_round(keys.index(branch_key(t)), check) is t
 
 
 class TestCorrespondenceTables:

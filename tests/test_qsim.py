@@ -31,6 +31,13 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def born_probabilities(state, basis, qubits) -> dict:
+    """Probability of every possible outcome of one measurement, from a
+    one-step schedule."""
+    step = (("measure", "m", basis, qubits),)
+    return {out["m"]: p for p, out in qsim.enumerate_schedule(state, step)}
+
+
 @st.composite
 def random_states(draw, num_qubits=None):
     n = num_qubits or draw(st.integers(1, 3))
@@ -251,7 +258,7 @@ class TestMeasureZ:
         assert 120 < counts[ZOutcome.ZERO] < 280
 
     def test_ghz_probabilities(self):
-        probs = qsim.z_probabilities(make_ghz(), 0)
+        probs = born_probabilities(make_ghz(), "z", (0,))
         assert probs[ZOutcome.ZERO] == pytest.approx(0.5, abs=ATOL)
         assert probs[ZOutcome.ONE] == pytest.approx(0.5, abs=ATOL)
 
@@ -280,6 +287,18 @@ class TestMeasureX:
         probs = qsim.x_probabilities(state, 2)
         assert probs[XOutcome.PLUS] == pytest.approx(0.5, abs=ATOL)
 
+    def test_rounding_residue_is_never_drawn(self):
+        # After H on A, a Bell outcome on (A, B) leaves Trent's qubit in
+        # an X eigenstate; the other X outcome keeps a Born probability of
+        # about 1e-33, the rounding residue of an exact 0.
+        state = apply_gate(make_ghz(), Gate.HADAMARD, 0)
+        bell, post = measure_bell(state, 0, 2, _FixedUniform(0.0))
+        assert bell is BellOutcome.PHI_PLUS
+        assert 0.0 < qsim.x_probabilities(post, 1)[XOutcome.PLUS] <= ATOL
+        outcome, _ = measure_x(post, 1, _FixedUniform(0.0))
+        assert outcome is XOutcome.MINUS
+        assert born_probabilities(post, "x", (1,)) == {XOutcome.MINUS: pytest.approx(1.0, abs=ATOL)}
+
 
 class TestMeasureBell:
     def test_eigenstate(self):
@@ -290,11 +309,11 @@ class TestMeasureBell:
 
     def test_product_state_splits_into_phis(self):
         state = make_state([1, 0, 0, 0])  # |00>
-        probs = qsim.bell_probabilities(state, 0, 1)
+        probs = born_probabilities(state, "bell", (0, 1))
+        # the psi outcomes are impossible, so they have no branch
+        assert set(probs) == {BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS}
         assert probs[BellOutcome.PHI_PLUS] == pytest.approx(0.5, abs=ATOL)
         assert probs[BellOutcome.PHI_MINUS] == pytest.approx(0.5, abs=ATOL)
-        assert probs[BellOutcome.PSI_PLUS] == pytest.approx(0.0, abs=ATOL)
-        assert probs[BellOutcome.PSI_MINUS] == pytest.approx(0.0, abs=ATOL)
 
     def test_identical_qubits_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
@@ -313,7 +332,7 @@ class TestMeasureBell:
         outcome = None
         while outcome is not XOutcome.MINUS:
             outcome, post_state = measure_x(state, 1, generator)
-        probs = qsim.bell_probabilities(post_state, 0, 2)
+        probs = born_probabilities(post_state, "bell", (0, 2))
         assert probs[BellOutcome.PHI_PLUS] == pytest.approx(0.5, abs=ATOL)
         assert probs[BellOutcome.PSI_MINUS] == pytest.approx(0.5, abs=ATOL)
 
@@ -323,9 +342,9 @@ class TestBornCompleteness:
     @settings(max_examples=30, deadline=None)
     def test_probabilities_sum_to_one(self, state):
         for probs in (
-            qsim.z_probabilities(state, 0),
+            born_probabilities(state, "z", (0,)),
             qsim.x_probabilities(state, 1),
-            qsim.bell_probabilities(state, 0, 2),
+            born_probabilities(state, "bell", (0, 2)),
         ):
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
