@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -457,6 +458,51 @@ class TestIdentitiesAndTables:
         text = render_tables()
         for name in ("PHI_PLUS", "PSI_MINUS", "PLUS", "MINUS"):
             assert name in text
+
+
+PIN_TRENTS = {
+    "honest": TrentStrategy.honest(),
+    "attack": TrentStrategy.attack(),
+    "attack-genuine": TrentStrategy.attack(AnnouncementPolicy.GENUINE_MEASUREMENT),
+    "attack-uniform": TrentStrategy.attack(AnnouncementPolicy.UNIFORM_RANDOM),
+}
+# (message bits, sessions) of the two pinned report shapes
+PIN_SHAPES = {"1x997": (997, 1), "7x37": (37, 7)}
+PIN_SEEDS = (9, 10)
+
+
+def report_digests() -> dict[str, str]:
+    """sha256 of the JSON and CSV report of every (protocol, variant,
+    Trent) configuration in both pinned shapes and seeds, at noise 0.05
+    and check fraction 0.3, keyed protocol/variant/trent/shape/seed/format.
+
+    tests/data/report_digests.json is this function's output, written
+    once and never regenerated: only a deliberate report change (one that
+    bumps SCHEMA_VERSION) may rewrite it."""
+    digests = {}
+    for p in ProtocolId:
+        for v in EncodingVariant:
+            for name, trent in PIN_TRENTS.items():
+                for shape, (bits, sessions) in PIN_SHAPES.items():
+                    for seed in PIN_SEEDS:
+                        report = run_experiment(RunConfig(
+                            protocol=p, variant=v, trent=trent, message_length=bits,
+                            rounds_repeat=sessions, noise_probability=0.05,
+                            check_fraction=0.3, seed=seed,
+                        ))
+                        key = f"p{p.value}/{v.value}/{name}/{shape}/{seed}"
+                        for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
+                            digests[f"{key}/{fmt}"] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+class TestReportPins:
+    def test_every_configuration_matches_its_pinned_report_bytes(self):
+        pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
+        assert len(pinned) == 2 * 2 * 4 * 2 * 2 * 2
+        digests = report_digests()
+        assert [key for key in pinned if digests[key] != pinned[key]] == []
+        assert digests == pinned
 
 
 class TestBinomialInterval:
