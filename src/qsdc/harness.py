@@ -1,8 +1,13 @@
 """Batch experiment driver: seeded Monte Carlo runs, exact identity
-verification, correspondence tables, and machine-readable reports."""
+verification, correspondence tables, and machine-readable reports.
+
+`run_experiment` samples each session's outcome-class counts from a
+table built once per (protocol, variant, Trent strategy) out of the
+exact branch tables."""
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -178,15 +183,42 @@ def binomial_interval(successes: int, trials: int) -> tuple[float, float]:
     return (float(low), float(high))
 
 
+@functools.cache
+def _outcome_classes(protocol_id: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> tuple:
+    """The (bit, branch) cells of the two exact tables, a round taking one
+    with probability 0.5 * p, grouped into at most eight outcome classes by
+    three flags: the round decodes wrong, Trent guesses the bit, his two z
+    outcomes agree.  Returns per class those flags (three arrays), its
+    probability, and its cells' histogram labels with their conditional
+    probabilities; cached per (protocol, variant, strategy)."""
+    attacked = trent.kind is StrategyKind.ATTACK
+    # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells
+    classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
+    for bit in (0, 1):
+        _, branches = protocol.round_distribution(protocol_id, variant, bit, trent)
+        for b in branches:
+            z_equal = attacked and b.adversary_raw[0] == b.adversary_raw[1]
+            key = (b.decoded_bit != bit, b.adversary_guess == bit, z_equal)
+            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
+            classes.setdefault(key, []).append((0.5 * b.probability, label))
+    wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
+    # the probabilities sum to 1 only up to rounding
+    p_class = np.array([sum(p for p, _ in members) for members in classes.values()])
+    cells = []
+    for members in classes.values():
+        p_cell = np.array([p for p, _ in members])
+        cells.append((tuple(label for _, label in members), p_cell / p_cell.sum()))
+    return wrong, hit, equal, p_class / p_class.sum(), tuple(cells)
+
+
 def run_experiment(config: RunConfig) -> RunReport:
     """Execute `rounds_repeat` seeded sessions and aggregate their metrics.
 
-    A round takes the (bit, branch) cell of the exact tables with
-    probability 0.5 * p.  Sessions count only whether a round decodes
-    wrongly, whether Trent guesses its bit and whether his z outcomes
-    agree, so the cells group into at most eight outcome classes.  One
-    generator seeded with `config.seed` draws every session's message and
-    check class counts (one multinomial), the flips of their wrong and
+    Sessions count only whether a round decodes wrongly, whether Trent
+    guesses its bit and whether his z outcomes agree, so they draw from
+    the configuration's outcome classes (`_outcome_classes`, built once).
+    One generator seeded with `config.seed` draws every session's message
+    and check class counts (one multinomial), the flips of their wrong and
     correct check counts (two binomials), then the histogram (one
     multinomial per class over its cells: given its class, a round's cell
     is independent of its session and flips).  No round, message or
@@ -198,25 +230,10 @@ def run_experiment(config: RunConfig) -> RunReport:
     n_message = config.message_length
     n_check = protocol.check_round_count(n_message, config.check_fraction)
     attacked = config.trent.kind is StrategyKind.ATTACK
+    wrong, hit, equal, p_class, cells = _outcome_classes(config.protocol, config.variant, config.trent)
 
-    # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells
-    classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
-    for bit in (0, 1):
-        _, branches = protocol.round_distribution(
-            config.protocol, config.variant, bit, config.trent
-        )
-        for b in branches:
-            z_equal = attacked and b.adversary_raw[0] == b.adversary_raw[1]
-            key = (b.decoded_bit != bit, b.adversary_guess == bit, z_equal)
-            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
-            classes.setdefault(key, []).append((0.5 * b.probability, label))
-    wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
-    p_class = np.array([sum(p for p, _ in cells) for cells in classes.values()])
-    # counts[session][role][class]; role 0 = message, 1 = check; the
-    # probabilities sum to 1 only up to rounding
-    counts = rng.multinomial(
-        [n_message, n_check], p_class / p_class.sum(), (config.rounds_repeat, 2)
-    )
+    # counts[session][role][class]; role 0 = message, 1 = check
+    counts = rng.multinomial([n_message, n_check], p_class, (config.rounds_repeat, 2))
     # A flip turns a correct check round into an error and a wrong one
     # into a correct one.
     wrong_checks, q = counts[:, 1] @ wrong, config.noise_probability
@@ -225,10 +242,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     hits, equals = rounds @ hit, rounds @ equal
 
     histogram: Counter[str] = Counter()
-    for cells, total in zip(classes.values(), rounds.sum(axis=0).tolist()):
-        p_cell = np.array([p for p, _ in cells])
-        drawn = rng.multinomial(total, p_cell / p_cell.sum()).tolist()
-        for (_, label), count in zip(cells, drawn):
+    for (labels, p_cell), total in zip(cells, rounds.sum(axis=0).tolist()):
+        for label, count in zip(labels, rng.multinomial(total, p_cell).tolist()):
             if count:
                 histogram[label] += count
 

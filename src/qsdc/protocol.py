@@ -12,12 +12,13 @@ derived from it.  Once per (protocol, variant, bit, strategy) its exact
 branch tree (`qsim.schedule_tree`) is built and flattened once into one
 record: the branches and their cumulative probabilities, which
 `round_distribution` returns, each leaf's branch by path, and each
-branch's transcript as a message and as a check round.
-`run_round_statevector` walks the tree, `run_round` and `run_session`
-draw from the cumulative table, and all three return the branch's
-shared transcript.  `decode` reads Bob's rule off the same flattening
-of the honest rounds, and the `qsdc tables` rows
-(`honest_correspondence_table`) are the honest distribution.
+branch's four transcripts: a message or a check round, its decoded bit
+as measured or flipped by channel noise.  `run_round_statevector` walks
+the tree, `run_round` and `run_session` draw from the cumulative table,
+and all three only pick the branch's shared transcripts by index.
+`decode` reads Bob's rule off the same flattening of the honest
+rounds, and the `qsdc tables` rows (`honest_correspondence_table`)
+are the honest distribution.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -146,12 +147,6 @@ def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateV
     return state
 
 
-@functools.cache
-def _encoded_ghz(variant: EncodingVariant, bit: int) -> StateVector:
-    """The GHZ triple after Alice's encoding; fixed per (variant, bit)."""
-    return encode_bit(variant, bit, qsim.make_ghz())
-
-
 def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
     """One round after Alice's encoding as a time-ordered step schedule
     (see qsim): Trent's attack steps, then Bob's measurement and Trent's
@@ -175,7 +170,7 @@ def _walked_tree(
 ) -> tuple[qsim.TreeNode, list]:
     """The round's exact branch tree and its one flattening
     (`qsim.tree_branches`), cached per (protocol, variant, bit, strategy)."""
-    tree = qsim.schedule_tree(_encoded_ghz(variant, bit), schedule(protocol, trent))
+    tree = qsim.schedule_tree(encode_bit(variant, bit, qsim.make_ghz()), schedule(protocol, trent))
     return tree, qsim.tree_branches(tree)
 
 
@@ -224,7 +219,10 @@ class _Round(NamedTuple):
     cumulative: tuple[float, ...]  # running sums of the branch probabilities
     branches: tuple[RoundBranch, ...]  # in `qsim.tree_branches` order
     branch_of: dict  # leaf path (as `qsim.sample_tree` returns it) -> branch index
-    transcripts: tuple  # per branch, its RoundTranscript as a message and as a check round
+    # each branch's four RoundTranscripts, at 4 * branch + 2 * is_check + flipped;
+    # a flipped one has its decoded bit inverted by channel noise
+    transcripts: tuple
+    check_error: np.ndarray  # per transcript: a check round that decodes wrong
 
 
 @functools.cache
@@ -236,18 +234,20 @@ def _round(protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: Tren
     for p, outcomes, _ in walked:
         announcement, measurement = outcomes["trent"], outcomes["bob"]
         record = adversary.attack_record(outcomes)
+        decoded = decode(protocol, announcement, measurement)
         fields = dict(
             trent_announcement=announcement,
             bob_measurement=measurement,
-            decoded_bit=decode(protocol, announcement, measurement),
             adversary_guess=None if record is None else record.guessed_bit,
             adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
         )
-        branches.append(RoundBranch(probability=p, **fields))
-        transcripts.append(tuple(
-            RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check, **fields)
+        branches.append(RoundBranch(probability=p, decoded_bit=decoded, **fields))
+        transcripts += [
+            RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
+                            decoded_bit=decoded ^ flip, **fields)
             for check in (False, True)
-        ))
+            for flip in (0, 1)
+        ]
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > 1e-9:
         raise AssertionError(f"branch probabilities sum to {total}")
@@ -257,6 +257,7 @@ def _round(protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: Tren
         branches=tuple(branches),
         branch_of={path: index for index, (_, _, path) in enumerate(walked)},
         transcripts=tuple(transcripts),
+        check_error=np.array([t.is_check_bit and t.decoded_bit != bit for t in transcripts]),
     )
 
 
@@ -294,7 +295,7 @@ def run_round_statevector(
     """
     record = _round(protocol, variant, bit, trent)
     path, _ = qsim.sample_tree(record.tree, rng)
-    return record.transcripts[record.branch_of[path]][bool(is_check_bit)]
+    return record.transcripts[4 * record.branch_of[path] + 2 * bool(is_check_bit)]
 
 
 def run_round(
@@ -317,7 +318,7 @@ def run_round(
     """
     record = _round(protocol, variant, bit, trent)
     branch = min(bisect_right(record.cumulative, rng.random()), len(record.branches) - 1)
-    return record.transcripts[branch][bool(is_check_bit)]
+    return record.transcripts[4 * branch + 2 * bool(is_check_bit)]
 
 
 def run_session(
@@ -336,11 +337,12 @@ def run_session(
     then, only when `noise_probability` > 0, one `rng.random(n)` for the
     noise.  `noise_probability` is an optional classical channel-noise
     knob: each decoded bit is independently flipped with that probability,
-    exercising the abort path without touching the quantum model.  Rounds
-    with the same bit, branch and check flag share the transcript
-    `run_round` returns for them; a flipped one is a copy with the decoded
-    bit inverted, shared the same way.
-    A plan without check rounds is rejected: it would pass unchecked.
+    exercising the abort path without touching the quantum model.  Every
+    round returns one of the four transcripts its branch's cached record
+    holds (message or check, each unflipped or flipped), the unflipped
+    ones being those `run_round` returns, so a session builds none.
+    A plan without check rounds is rejected, since it would pass
+    unchecked, and so is a rate outside [0, 1]: a NaN threshold too.
     """
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
@@ -348,39 +350,25 @@ def run_session(
         raise ValueError("session plan has no check rounds")
     if not np.isin(plan.bits, (0, 1)).all():
         raise ValueError("session plan bits must be 0 or 1")
+    for name, rate in (("noise_probability", noise_probability), ("abort_threshold", abort_threshold)):
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"{name} must lie in [0,1], got {rate}")
 
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
-    bits = plan.bits.astype(np.intp)
-    rounds_of = [_round(protocol, variant, bit, trent) for bit in (0, 1)]
-    branch = np.empty(n, dtype=np.intp)
-    for bit, record in enumerate(rounds_of):
-        rounds = bits == bit
-        picked = np.searchsorted(record.cumulative, uniforms[rounds], side="right")
-        branch[rounds] = np.minimum(picked, len(record.branches) - 1)
-
-    # One transcript per distinct (bit, branch, is_check, flipped): the
-    # round's own unless flipped.
-    width = max(len(record.branches) for record in rounds_of)
-    key = ((bits * width + branch) * 2 + plan.is_check) * 2 + flipped
-    _, first, inverse, counts = np.unique(
-        key, return_index=True, return_inverse=True, return_counts=True
-    )
-    shared = []
-    for bit, b, check, flip in zip(
-        bits[first].tolist(), branch[first].tolist(),
-        plan.is_check[first].tolist(), flipped[first].tolist(),
-    ):
-        t = rounds_of[bit].transcripts[b][check]
-        shared.append(replace(t, decoded_bit=1 - t.decoded_bit) if flip else t)
-    transcripts = [shared[i] for i in inverse.tolist()]
-
-    errors = sum(
-        count for t, count in zip(shared, counts.tolist())
-        if t.is_check_bit and t.decoded_bit != t.sent_bit
-    )
-    error_rate = errors / np.count_nonzero(plan.is_check)
+    # Each round's transcript index in the two bits' tables laid end to end.
+    index = 2 * plan.is_check + flipped
+    table, check_error = (), []
+    for bit in (0, 1):
+        record = _round(protocol, variant, bit, trent)
+        rounds = plan.bits == bit
+        branch = np.searchsorted(record.cumulative, uniforms[rounds], side="right")
+        index[rounds] += len(table) + 4 * np.minimum(branch, len(record.branches) - 1)
+        table += record.transcripts
+        check_error.append(record.check_error)
+    transcripts = list(map(table.__getitem__, index.tolist()))
+    error_rate = np.count_nonzero(np.concatenate(check_error)[index]) / np.count_nonzero(plan.is_check)
     abort = error_rate > abort_threshold
     return transcripts, error_rate, abort
 

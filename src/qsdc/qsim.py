@@ -20,8 +20,8 @@ residue of exact zeros, so the tree has no branch for them and
 `measure_*` never returns them.  `tree_branches` flattens the tree into
 its exact branch list and `sample_tree` walks it, one draw per
 measurement or random step; a measurement picks its outcome by the same
-rule as `measure_*`.  `enumerate_schedule` and `sample_schedule` build
-a schedule's tree and flatten or walk it.
+rule as `measure_*`.  `sample_schedule` builds a schedule's tree and
+walks it.
 """
 from __future__ import annotations
 
@@ -399,9 +399,3 @@ def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVecto
         outcomes[node.role] = node.outcomes[index]
         node = node.children[index]
     return outcomes, leaf.state
-
-
-def enumerate_schedule(state: StateVector, schedule) -> list[tuple[float, dict]]:
-    """(Born probability, outcomes by role) of every branch of a schedule
-    run on `state` (see `tree_branches`)."""
-    return [(p, outcomes) for p, outcomes, _ in tree_branches(schedule_tree(state, schedule))]

@@ -420,6 +420,17 @@ class TestBitCounts:
         report = run_experiment(RunConfig(message_length=300, seed=8, rounds_repeat=3))
         assert report.total_rounds == 3 * 600
 
+    def test_warm_run_reads_only_the_cached_classes(self, monkeypatch):
+        config = RunConfig(protocol=P2, variant=ORIGINAL, trent=TrentStrategy.attack(),
+                           message_length=300, seed=8, rounds_repeat=3, noise_probability=0.05)
+        report = run_experiment(config).to_json()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_experiment read the branch tables again")
+
+        monkeypatch.setattr("qsdc.protocol.round_distribution", refuse)
+        assert run_experiment(config).to_json() == report
+
     @pytest.mark.parametrize(
         "message_length,check_fraction,n_check",
         # the at-least-one floor, 4.5 rounded in floating point, exact

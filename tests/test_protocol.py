@@ -114,10 +114,9 @@ class TestDecodeTables:
     @pytest.fixture
     def encoding_rules(self, monkeypatch):
         """Install other encoding rules for both variants, clearing the
-        encoded-state, decode-map, tree and round caches around the swap."""
+        decode-map, tree and round caches around the swap."""
 
         def clear():
-            protocol_module._encoded_ghz.cache_clear()
             protocol_module._decode_map.cache_clear()
             protocol_module._walked_tree.cache_clear()
             protocol_module._round.cache_clear()
@@ -576,6 +575,31 @@ class TestRunSession:
         plan = SessionPlan(bits=np.array(bits, dtype=np.int8), is_check=np.array(is_check, dtype=bool))
         with pytest.raises(ValueError, match="plan"):
             run_session(P1, REVISED, plan, TrentStrategy.honest(), rng())
+
+    @pytest.mark.parametrize("name", ["noise_probability", "abort_threshold"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_rates_outside_the_unit_interval_rejected(self, name, value):
+        # a NaN threshold would pass every session, a NaN noise mean none
+        plan = SessionPlan.build([0, 1] * 20, 0.5, rng())
+        with pytest.raises(ValueError, match=name):
+            run_session(P1, ORIGINAL, plan, TrentStrategy.attack(), rng(), **{name: value})
+
+    def test_warm_session_only_indexes_the_cached_transcripts(self, monkeypatch):
+        plan = SessionPlan.build(rng(42).integers(0, 2, 300), 0.5, rng(43))
+        trent = TrentStrategy.attack()
+        run_session(P1, ORIGINAL, plan, trent, rng(44), noise_probability=0.3)
+
+        def refuse(self):
+            raise AssertionError("run_session built a RoundTranscript")
+
+        monkeypatch.setattr(RoundTranscript, "__post_init__", refuse)
+        transcripts = [
+            t for seed in (45, 46)
+            for t in run_session(P1, ORIGINAL, plan, trent, rng(seed), noise_probability=0.3)[0]
+        ]
+        assert any(t.decoded_bit != t.sent_bit for t in transcripts)
+        # across both sessions, equal transcripts are one object
+        assert len({id(t) for t in transcripts}) == len(set(transcripts))
 
     def test_message_withheld_on_abort(self):
         assert extract_message([], True) is None

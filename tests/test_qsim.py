@@ -35,7 +35,7 @@ def born_probabilities(state, basis, qubits) -> dict:
     """Probability of every possible outcome of one measurement, from a
     one-step schedule."""
     step = (("measure", "m", basis, qubits),)
-    return {out["m"]: p for p, out in qsim.enumerate_schedule(state, step)}
+    return {out["m"]: p for p, out, _ in qsim.tree_branches(qsim.schedule_tree(state, step))}
 
 
 @st.composite
@@ -191,12 +191,11 @@ class TestKernelsAgainstOracle:
 
     @staticmethod
     def _check_measurement(measure, basis, qubits, projectors):
-        """Born probabilities (via enumerate_schedule) and, outcome by
+        """Born probabilities (via born_probabilities) and, outcome by
         outcome, the sampled outcome and post-state of `measure`."""
-        step = (("measure", "m", basis, qubits),)
         for amps in seeded_states(3):
             state = make_state(amps)
-            probabilities = {out["m"]: p for p, out in qsim.enumerate_schedule(state, step)}
+            probabilities = born_probabilities(state, basis, qubits)
             below = 0.0
             for outcome, projector in projectors.items():
                 branch = projector @ amps
@@ -402,15 +401,15 @@ class TestSchedules:
         ]
 
     def test_enumeration_is_complete_and_matches_the_born_rule(self):
-        branches = list(qsim.enumerate_schedule(make_ghz(), self.SCHEDULE))
-        assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=ATOL)
+        branches = qsim.tree_branches(qsim.schedule_tree(make_ghz(), self.SCHEDULE))
+        assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=ATOL)
         # after H on A, the GHZ state gives either Z outcome of A w.p. 1/2
         for z in ZOutcome:
-            p_z = sum(p for p, out in branches if out["a"] is z)
+            p_z = sum(p for p, out, _ in branches if out["a"] is z)
             assert p_z == pytest.approx(0.5, abs=ATOL)
         # the random step splits every branch evenly
         for symbol in ("p", "q", "s"):
-            p_r = sum(p for p, out in branches if out["r"] == symbol)
+            p_r = sum(p for p, out, _ in branches if out["r"] == symbol)
             assert p_r == pytest.approx(1 / 3, abs=ATOL)
-        assert all(p > 1e-15 for p, _ in branches)
-        assert len({tuple(out.items()) for _, out in branches}) == len(branches)
+        assert all(p > 1e-15 for p, _, _ in branches)
+        assert len({tuple(out.items()) for _, out, _ in branches}) == len(branches)
