@@ -410,6 +410,17 @@ class TestCsv:
         assert "," * 2 + "\n" in text  # the empty attack cells
         assert report.to_csv() == text
 
+    def test_many_repeated_rows_match_the_pinned_csv(self):
+        # tests/data/run_p2_many_sessions.csv is the output of `qsdc run
+        # --protocol 2 --bits 100 --repeat 1000 --noise 0.01 --seed 9
+        # --format csv`: 1000 session rows with only 7 distinct cell sets
+        pinned = (Path(__file__).parent / "data" / "run_p2_many_sessions.csv").read_bytes()
+        report = run_experiment(
+            RunConfig(protocol=P2, message_length=100, seed=9, rounds_repeat=1000,
+                      noise_probability=0.01)
+        )
+        assert report.to_csv().encode() == pinned
+
 
 class TestBitCounts:
     def test_run_builds_no_session_plan(self, monkeypatch):
