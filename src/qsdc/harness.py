@@ -3,7 +3,7 @@ verification, correspondence tables, and machine-readable reports.
 
 `run_experiment` samples each session's outcome-class counts from a
 table built once per (protocol, variant, Trent strategy) out of the
-exact branch tables."""
+exact branch tables; its report keeps each session's counts in one array."""
 from __future__ import annotations
 
 import csv
@@ -111,8 +111,23 @@ class RunReport:
     z_equal_fraction: float | None
     abort_fraction: float
     histogram: dict[str, int]
-    sessions: tuple[SessionStats, ...]
+    # one row per session: check errors, aborted (0 or 1), Trent's hits, z-equal rounds
+    session_counts: np.ndarray = field(compare=False, repr=False)
     wall_time: float
+
+    def _cells(self, errors: int, aborted: int, hits: int, z_equal: int) -> list:
+        """One `session_counts` row as its session's CSV cells."""
+        n_sessions = len(self.session_counts)
+        n_check, n_rounds = self.check_rounds // n_sessions, self.total_rounds // n_sessions
+        if self.trent_guess_accuracy is None:
+            return [errors / n_check, aborted, None, None]
+        return [errors / n_check, aborted, hits / n_rounds, z_equal / n_rounds]
+
+    @functools.cached_property
+    def sessions(self) -> tuple[SessionStats, ...]:
+        """Each session's rates, built from `session_counts` on first read."""
+        cells = map(self._cells, *self.session_counts.T.tolist())
+        return tuple(SessionStats(e, bool(a), g, z) for e, a, g, z in cells)
 
     def to_json(self, include_timing: bool = False) -> str:
         """Stable-key-order JSON.  Wall time is excluded by default so that
@@ -137,19 +152,15 @@ class RunReport:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        """One row per session plus a summary row.  Sessions that share one
-        SessionStats object have their cells formatted once."""
-        ids = list(map(id, self.sessions))
-        cells = {
-            key: _csv_row([s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction])
-            for key, s in dict(zip(ids, self.sessions)).items()
-        }
+        """One row per session plus a summary row; equal session rows are formatted once."""
+        rows = list(zip(*self.session_counts.T.tolist()))
+        cells = {row: _csv_row(self._cells(*row)) for row in set(rows)}
         header = ["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"]
         summary = [self.bob_error_rate, self.abort_fraction, self.trent_guess_accuracy,
                    self.z_equal_fraction]
         return (
             _csv_row(header)
-            + "".join(f"session_{i},{row}" for i, row in enumerate(map(cells.__getitem__, ids)))
+            + "".join(f"session_{i},{row}" for i, row in enumerate(map(cells.__getitem__, rows)))
             + _csv_row(["summary", *summary])
         )
 
@@ -221,9 +232,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     and check class counts (one multinomial), the flips of their wrong and
     correct check counts (two binomials), then the histogram (one
     multinomial per class over its cells: given its class, a round's cell
-    is independent of its session and flips).  No round, message or
-    `SessionPlan` is materialized, and sessions with equal counts share
-    one `SessionStats`.  Same config, same report bytes.
+    is independent of its session and flips).  No round, message,
+    `SessionPlan` or `SessionStats` is made.  Same config, same report bytes.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
@@ -239,7 +249,6 @@ def run_experiment(config: RunConfig) -> RunReport:
     wrong_checks, q = counts[:, 1] @ wrong, config.noise_probability
     errors = wrong_checks - rng.binomial(wrong_checks, q) + rng.binomial(n_check - wrong_checks, q)
     rounds = counts.sum(axis=1)
-    hits, equals = rounds @ hit, rounds @ equal
 
     histogram: Counter[str] = Counter()
     for (labels, p_cell), total in zip(cells, rounds.sum(axis=0).tolist()):
@@ -249,19 +258,10 @@ def run_experiment(config: RunConfig) -> RunReport:
 
     n_rounds = n_message + n_check
     aborted = errors / n_check > config.abort_threshold
-    rows = list(zip(errors.tolist(), aborted.tolist(), hits.tolist(), equals.tolist()))
-    shared = {
-        (e, a, h, z): SessionStats(
-            error_rate=e / n_check,
-            aborted=a,
-            guess_accuracy=h / n_rounds if attacked else None,
-            z_equal_fraction=z / n_rounds if attacked else None,
-        )
-        for e, a, h, z in set(rows)
-    }
-    sessions = tuple(map(shared.__getitem__, rows))
+    session_counts = np.column_stack([errors, aborted, rounds @ hit, rounds @ equal])
+    session_counts.setflags(write=False)
     total_rounds, check_total = n_rounds * config.rounds_repeat, n_check * config.rounds_repeat
-    check_errors, guess_hits = int(errors.sum()), int(hits.sum())
+    check_errors, aborts, guess_hits, z_equal = session_counts.sum(axis=0).tolist()
     return RunReport(
         config=config.describe(),
         total_rounds=total_rounds,
@@ -270,10 +270,10 @@ def run_experiment(config: RunConfig) -> RunReport:
         bob_error_interval=binomial_interval(check_errors, check_total),
         trent_guess_accuracy=guess_hits / total_rounds if attacked else None,
         trent_guess_interval=binomial_interval(guess_hits, total_rounds) if attacked else None,
-        z_equal_fraction=int(equals.sum()) / total_rounds if attacked else None,
-        abort_fraction=int(np.count_nonzero(aborted)) / config.rounds_repeat,
+        z_equal_fraction=z_equal / total_rounds if attacked else None,
+        abort_fraction=aborts / config.rounds_repeat,
         histogram=dict(histogram),
-        sessions=sessions,
+        session_counts=session_counts,
         wall_time=time.perf_counter() - start,
     )
 

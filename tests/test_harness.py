@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -420,6 +421,53 @@ class TestCsv:
                       noise_probability=0.01)
         )
         assert report.to_csv().encode() == pinned
+
+
+class TestSessionCounts:
+    def test_run_and_reports_build_no_session_stats(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a SessionStats")
+
+        monkeypatch.setattr(harness, "SessionStats", refuse)
+        report = run_experiment(
+            RunConfig(protocol=P2, trent=TrentStrategy.attack(), message_length=100, seed=9,
+                      rounds_repeat=1000, noise_probability=0.01)
+        )
+        assert json.loads(report.to_json())["total_rounds"] == 1000 * 200
+        assert report.to_csv().count("\nsession_") == 1000
+
+    @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
+    def test_sessions_hold_the_csv_values_with_their_types(self, trent):
+        config = RunConfig(protocol=P1, variant=REVISED, trent=trent, message_length=10, seed=13,
+                           rounds_repeat=200, noise_probability=0.1, abort_threshold=0.5)
+        report = run_experiment(config)
+        sessions = report.sessions
+        assert report.sessions is sessions  # built once
+        assert len(sessions) == 200
+        assert len(set(map(id, sessions))) == 200  # no session shares another's object
+        attack_type = float if trent == TrentStrategy.attack() else type(None)
+        assert {tuple(map(type, dataclasses.astuple(s))) for s in sessions} == {
+            (float, bool, attack_type, attack_type)
+        }
+        assert report.to_csv() == reference_csv(report)
+        assert sum(s.error_rate for s in sessions) / 200 == pytest.approx(report.bob_error_rate)
+        assert sum(s.aborted for s in sessions) / 200 == report.abort_fraction
+        if trent == TrentStrategy.attack():
+            assert sum(s.guess_accuracy for s in sessions) / 200 == pytest.approx(
+                report.trent_guess_accuracy
+            )
+
+    def test_report_compares_and_prints_without_its_counts(self):
+        report = run_experiment(RunConfig(message_length=20, seed=3, rounds_repeat=50))
+        copy = dataclasses.replace(report, session_counts=report.session_counts.copy())
+        assert report == report
+        assert copy == report
+        assert "session_counts" not in repr(report)
+        assert report.session_counts.shape == (50, 4)
+        with pytest.raises(ValueError):
+            report.session_counts[0, 0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.sessions = ()
 
 
 class TestBitCounts:
