@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .adversary import AnnouncementPolicy, TrentStrategy
+from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from .harness import ConfigError, RunConfig
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import ATOL
@@ -20,7 +20,7 @@ from .qsim import ATOL
 _RUN_OPTIONS = {
     "protocol": ("protocol", lambda value: ProtocolId(int(value)), "1 or 2"),
     "variant": ("variant", EncodingVariant, "original or revised"),
-    "trent": ("trent", str, "honest or attack"),
+    "trent": ("trent", StrategyKind, "honest or attack"),
     "announcement_policy": (
         "announcement_policy",
         AnnouncementPolicy,
@@ -73,12 +73,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             fields[field] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-    policy = fields.pop("announcement_policy", None)
-    trent_kind = fields.pop("trent", "honest")
-    if trent_kind == "attack":
-        fields["trent"] = TrentStrategy.attack(policy)
-    elif trent_kind != "honest":
-        raise ConfigError(f"trent must be 'honest' or 'attack', got {trent_kind!r}")
+    kind = fields.pop("trent", StrategyKind.HONEST)
+    fields["trent"] = TrentStrategy(kind, fields.pop("announcement_policy", None))
     return RunConfig(**fields)
 
 

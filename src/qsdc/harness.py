@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adversary, protocol, qsim
-from .adversary import StrategyKind, TrentStrategy
+from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import BellOutcome, StateVector, XOutcome
 
@@ -46,6 +46,16 @@ class RunConfig:
     noise_probability: float = 0.0
 
     def __post_init__(self):
+        types = {"protocol": ProtocolId, "variant": EncodingVariant, "trent": TrentStrategy}
+        for name, expected in types.items():
+            value = getattr(self, name)
+            if not isinstance(value, expected):
+                raise ConfigError(f"{name} must be of type {expected.__name__}, got {value!r}")
+        kind, policy = self.trent.kind, self.trent.announcement_policy
+        if not isinstance(kind, StrategyKind) or policy not in (None, *AnnouncementPolicy):
+            raise ConfigError(f"trent must hold a StrategyKind and a policy or None, got {self.trent}")
+        if kind is StrategyKind.HONEST and policy is not None:
+            raise ConfigError(f"trent: an honest Trent takes no announcement_policy, got {policy}")
         # Accept any integer type except bool; store it as a plain int so
         # that describe() and the reports serialize it.
         for name in ("message_length", "seed", "rounds_repeat"):

@@ -11,7 +11,7 @@ import pytest
 import oracle
 from fit import binomial_fit, binomial_tails, chi2_critical
 from qsdc import cli, harness
-from qsdc.adversary import AnnouncementPolicy, TrentStrategy
+from qsdc.adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from qsdc.harness import (
     ConfigError,
     RunConfig,
@@ -64,6 +64,24 @@ class TestRunConfig:
     def test_real_fields_reject_non_numbers(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be a real number"):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [("protocol", 1), ("variant", "revised"), ("trent", "attack")])
+    def test_non_enum_fields_name_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be of type "):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "trent",
+        [TrentStrategy("attack"), TrentStrategy(StrategyKind.ATTACK, "uniform")],
+        ids=["kind", "policy"],
+    )
+    def test_malformed_strategy_is_rejected(self, trent):
+        with pytest.raises(ConfigError, match="^trent must hold a StrategyKind"):
+            RunConfig(trent=trent)
+
+    def test_honest_trent_with_a_policy_is_rejected(self):
+        with pytest.raises(ConfigError, match="^trent: an honest Trent takes no announcement_policy"):
+            RunConfig(trent=TrentStrategy(StrategyKind.HONEST, AnnouncementPolicy.UNIFORM_RANDOM))
 
     def test_session_count_cap(self):
         assert RunConfig(rounds_repeat=harness.MAX_SESSIONS).rounds_repeat == harness.MAX_SESSIONS
@@ -677,6 +695,15 @@ class TestCli:
         # flag values go through the same parsers as config-file values
         assert cli.main(["run", *flag]) == 2
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--trent", "honest", "--announcement-policy", "uniform"], ["--announcement-policy", "genuine"]],
+        ids=" ".join,
+    )
+    def test_honest_trent_with_a_policy_exits_cleanly(self, capsys, flags):
+        assert cli.main(["run", *flags]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: trent: an honest Trent")
 
     def test_session_cap_exits_before_running(self, monkeypatch, capsys):
         def run_experiment(config):
