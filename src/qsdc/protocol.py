@@ -9,16 +9,18 @@ the announcement with his own result to decode the bit.
 Each round is written once, as the step schedule `schedule(protocol,
 trent)`, with Trent's steps from `adversary.trent_steps`.  The rest is
 derived from it.  Once per (protocol, variant, bit, strategy) its exact
-branch tree (`qsim.schedule_tree`) is built and flattened once into one
-record: the branches and their cumulative probabilities, which
-`round_distribution` returns, each leaf's branch by path, and each
-branch's four transcripts: a message or a check round, its decoded bit
-as measured or flipped by channel noise.  `run_round_statevector` walks
-the tree, `run_round` and `run_session` draw from the cumulative table,
-and all three only pick the branch's shared transcripts by index.
-`decode` reads Bob's rule off the same flattening of the honest
-rounds, and the `qsdc tables` rows (`honest_correspondence_table`)
-are the honest distribution.
+branch tree (`qsim.schedule_tree`) is built and flattened once, and
+the flattenings of both bits become one cached model per (protocol,
+variant, strategy): per bit the tree, the branches and their cumulative
+probabilities (`round_distribution`) and each leaf's branch by path;
+both bits' transcripts end to end, four per branch (a message or a
+check round, its decoded bit as measured or flipped by channel noise);
+and the outcome classes `harness.run_experiment` draws from.
+`run_round_statevector` walks the tree, `run_round` and `run_session`
+draw from the cumulative tables, and all three only pick the branch's
+shared transcripts by index.  `decode` reads Bob's rule off the same
+flattening of the honest rounds, and the `qsdc tables` rows
+(`honest_correspondence_table`) are the honest distribution.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
@@ -29,6 +31,7 @@ exactly what blinds Trent's Z-basis attack without costing Bob anything.
 from __future__ import annotations
 
 import functools
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -67,7 +70,7 @@ MAX_SESSION_ROUNDS = 10**8  # message plus check rounds in one session
 
 @dataclass(frozen=True)
 class RoundTranscript:
-    """Complete record of one message-bit round."""
+    """Complete record of one round, a message or a check round."""
 
     protocol: ProtocolId
     variant: EncodingVariant
@@ -138,10 +141,15 @@ class SessionPlan:
         return cls(bits=bits, is_check=is_check)
 
 
+def _check_bit(bit: int) -> None:
+    # the model's per-bit fields are pairs indexed by bit: -1 would read bit 1's
+    if not isinstance(bit, numbers.Integral) or bit not in (0, 1):
+        raise ValueError(f"bit must be 0 or 1, got {bit}")
+
+
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
     """Apply Alice's gate sequence for the bit to qubit A."""
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
+    _check_bit(bit)
     for gate in ENCODING_RULES[variant][bit]:
         state = qsim.apply_gate(state, gate, QUBIT_A)
     return state
@@ -212,52 +220,81 @@ class RoundBranch:
     adversary_raw: tuple[ZOutcome, ZOutcome] | None
 
 
-class _Round(NamedTuple):
-    """One round configuration, built once from its exact branch tree."""
+class _Model(NamedTuple):
+    """One (protocol, variant, strategy) configuration, built once from the
+    exact branch trees of both bits; a "per bit" field is indexed by bit."""
 
-    tree: qsim.TreeNode
-    cumulative: tuple[float, ...]  # running sums of the branch probabilities
-    branches: tuple[RoundBranch, ...]  # in `qsim.tree_branches` order
-    branch_of: dict  # leaf path (as `qsim.sample_tree` returns it) -> branch index
-    # each branch's four RoundTranscripts, at 4 * branch + 2 * is_check + flipped;
-    # a flipped one has its decoded bit inverted by channel noise
+    trees: tuple  # per bit: the round's `qsim.TreeNode`
+    cumulative: tuple  # per bit: running sums of the branch probabilities
+    branches: tuple  # per bit: its RoundBranches, in `qsim.tree_branches` order
+    branch_of: tuple  # per bit: leaf path (as `qsim.sample_tree` returns it) -> branch index
+    offset: tuple  # per bit: index of its first transcript
+    # both bits' RoundTranscripts end to end, each branch's four at offset[bit]
+    # + 4 * branch + 2 * is_check + flipped (decoded bit inverted by noise)
     transcripts: tuple
     check_error: np.ndarray  # per transcript: a check round that decodes wrong
+    # `harness.run_experiment`'s outcome classes: the (bit, branch) cells, of
+    # probability 0.5 * p, grouped by three flags (the round decodes wrong,
+    # Trent guesses the bit, his two z outcomes agree).  Per class: the flags
+    # (three arrays), its probability, its cells' labels and conditional ones.
+    classes: tuple
 
 
 @functools.cache
-def _round(protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy) -> _Round:
-    """The round's record, cached per (protocol, variant, bit, strategy);
-    raises unless the branches sum to 1."""
-    tree, walked = _walked_tree(protocol, variant, bit, trent)
-    branches, transcripts = [], []
-    for p, outcomes, _ in walked:
-        announcement, measurement = outcomes["trent"], outcomes["bob"]
-        record = adversary.attack_record(outcomes)
-        decoded = decode(protocol, announcement, measurement)
-        fields = dict(
-            trent_announcement=announcement,
-            bob_measurement=measurement,
-            adversary_guess=None if record is None else record.guessed_bit,
-            adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
-        )
-        branches.append(RoundBranch(probability=p, decoded_bit=decoded, **fields))
-        transcripts += [
-            RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
-                            decoded_bit=decoded ^ flip, **fields)
-            for check in (False, True)
-            for flip in (0, 1)
-        ]
-    total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-9:
-        raise AssertionError(f"branch probabilities sum to {total}")
-    return _Round(
-        tree=tree,
-        cumulative=tuple(np.cumsum([b.probability for b in branches])),
+def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
+    """The configuration's record, cached per (protocol, variant, strategy);
+    raises unless each bit's branches sum to 1."""
+    trees, cumulative, branches, branch_of, offset, transcripts = [], [], [], [], [], []
+    # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
+    # bit 0's cells first
+    classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
+    for bit in (0, 1):
+        tree, walked = _walked_tree(protocol, variant, bit, trent)
+        offset.append(len(transcripts))
+        bit_branches = []
+        for p, outcomes, _ in walked:
+            announcement, measurement = outcomes["trent"], outcomes["bob"]
+            record = adversary.attack_record(outcomes)
+            decoded = decode(protocol, announcement, measurement)
+            fields = dict(
+                trent_announcement=announcement,
+                bob_measurement=measurement,
+                adversary_guess=None if record is None else record.guessed_bit,
+                adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
+            )
+            bit_branches.append(RoundBranch(probability=p, decoded_bit=decoded, **fields))
+            transcripts += [
+                RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
+                                decoded_bit=decoded ^ flip, **fields)
+                for check in (False, True)
+                for flip in (0, 1)
+            ]
+            z_equal = record is not None and record.z_outcome_a == record.z_outcome_t
+            key = (decoded != bit, fields["adversary_guess"] == bit, z_equal)
+            classes.setdefault(key, []).append((0.5 * p, f"{announcement.name}/{measurement.name}"))
+        total = sum(b.probability for b in bit_branches)
+        if abs(total - 1.0) > 1e-9:
+            raise AssertionError(f"branch probabilities sum to {total}")
+        trees.append(tree)
+        cumulative.append(tuple(np.cumsum([b.probability for b in bit_branches])))
+        branches.append(tuple(bit_branches))
+        branch_of.append({path: index for index, (_, _, path) in enumerate(walked)})
+    wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
+    # the probabilities sum to 1 only up to rounding
+    p_class = np.array([sum(p for p, _ in members) for members in classes.values()])
+    cells = []
+    for members in classes.values():
+        p_cell = np.array([p for p, _ in members])
+        cells.append((tuple(label for _, label in members), p_cell / p_cell.sum()))
+    return _Model(
+        trees=tuple(trees),
+        cumulative=tuple(cumulative),
         branches=tuple(branches),
-        branch_of={path: index for index, (_, _, path) in enumerate(walked)},
+        branch_of=tuple(branch_of),
+        offset=tuple(offset),
         transcripts=tuple(transcripts),
-        check_error=np.array([t.is_check_bit and t.decoded_bit != bit for t in transcripts]),
+        check_error=np.array([t.is_check_bit and t.decoded_bit != t.sent_bit for t in transcripts]),
+        classes=(wrong, hit, equal, p_class / p_class.sum(), tuple(cells)),
     )
 
 
@@ -270,8 +307,9 @@ def round_distribution(
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple supports bisection sampling.
     """
-    record = _round(protocol, variant, bit, trent)
-    return record.cumulative, record.branches
+    _check_bit(bit)
+    model = _model(protocol, variant, trent)
+    return model.cumulative[bit], model.branches[bit]
 
 
 def run_round_statevector(
@@ -288,14 +326,15 @@ def run_round_statevector(
     Each measurement on the way draws one `rng.random()` against the
     Born probabilities of the state it measures, each random step one
     `rng.integers`, in time order, exactly as `qsim.sample_schedule`
-    does.  The tree and the two transcripts of every branch are built
-    once per (protocol, variant, bit, strategy), so a round runs no gate
-    and no projection and builds no transcript.  This is the reference
+    does.  The tree and the four transcripts of every branch are built
+    once per (protocol, variant, strategy), so a round runs no gate and
+    no projection and builds no transcript.  This is the reference
     `run_round` is checked against.
     """
-    record = _round(protocol, variant, bit, trent)
-    path, _ = qsim.sample_tree(record.tree, rng)
-    return record.transcripts[4 * record.branch_of[path] + 2 * bool(is_check_bit)]
+    _check_bit(bit)
+    model = _model(protocol, variant, trent)
+    path, _ = qsim.sample_tree(model.trees[bit], rng)
+    return model.transcripts[model.offset[bit] + 4 * model.branch_of[bit][path] + 2 * bool(is_check_bit)]
 
 
 def run_round(
@@ -316,9 +355,10 @@ def run_round(
     cost about the same per round.  `run_session` samples a whole
     session from the same tables at a small fraction of this cost.
     """
-    record = _round(protocol, variant, bit, trent)
-    branch = min(bisect_right(record.cumulative, rng.random()), len(record.branches) - 1)
-    return record.transcripts[4 * branch + 2 * bool(is_check_bit)]
+    _check_bit(bit)
+    model = _model(protocol, variant, trent)
+    branch = min(bisect_right(model.cumulative[bit], rng.random()), len(model.branches[bit]) - 1)
+    return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 
 def run_session(
@@ -338,8 +378,8 @@ def run_session(
     noise.  `noise_probability` is an optional classical channel-noise
     knob: each decoded bit is independently flipped with that probability,
     exercising the abort path without touching the quantum model.  Every
-    round returns one of the four transcripts its branch's cached record
-    holds (message or check, each unflipped or flipped), the unflipped
+    round returns one of the four transcripts the cached model holds for
+    its branch (message or check, each unflipped or flipped), the unflipped
     ones being those `run_round` returns, so a session builds none.
     A plan without check rounds is rejected, since it would pass
     unchecked, and so is a rate outside [0, 1]: a NaN threshold too.
@@ -357,18 +397,15 @@ def run_session(
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
-    # Each round's transcript index in the two bits' tables laid end to end.
+    model = _model(protocol, variant, trent)
+    # Each round's index in the model's transcripts.
     index = 2 * plan.is_check + flipped
-    table, check_error = (), []
     for bit in (0, 1):
-        record = _round(protocol, variant, bit, trent)
         rounds = plan.bits == bit
-        branch = np.searchsorted(record.cumulative, uniforms[rounds], side="right")
-        index[rounds] += len(table) + 4 * np.minimum(branch, len(record.branches) - 1)
-        table += record.transcripts
-        check_error.append(record.check_error)
-    transcripts = list(map(table.__getitem__, index.tolist()))
-    error_rate = np.count_nonzero(np.concatenate(check_error)[index]) / np.count_nonzero(plan.is_check)
+        branch = np.searchsorted(model.cumulative[bit], uniforms[rounds], side="right")
+        index[rounds] += model.offset[bit] + 4 * np.minimum(branch, len(model.branches[bit]) - 1)
+    transcripts = list(map(model.transcripts.__getitem__, index.tolist()))
+    error_rate = np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check)
     abort = error_rate > abort_threshold
     return transcripts, error_rate, abort
 

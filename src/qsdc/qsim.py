@@ -8,8 +8,9 @@ amplitude-wise, so global phase is irrelevant.
 
 Every gate and measurement is one matrix product on the amplitude
 vector.  The matrices are built once per (qubit count, gate, qubit) and
-per (qubit count, basis, qubits), by running the axis contraction that
-defines the operation on the identity, and cached.
+per (qubit count, basis, qubits) by their definitions, as Kronecker
+products with identities (see `_gate_operator` and `_projectors`), and
+cached.
 
 A step schedule (gates, measurements and uniformly random symbols in
 time order) has one exact walk: `schedule_tree` applies each gate and
@@ -141,12 +142,9 @@ def make_ghz() -> StateVector:
 
 @functools.cache
 def _gate_operator(num_qubits: int, gate: Gate, qubit: int) -> np.ndarray:
-    """The 2^n x 2^n matrix of `gate` on tensor factor `qubit`."""
-    # Contract the gate into axis `qubit` of every basis ket (the trailing
-    # axis of `identity` indexes the kets), then restore axis order.
-    identity = np.eye(2**num_qubits, dtype=complex).reshape([2] * num_qubits + [-1])
-    operator = np.moveaxis(np.tensordot(gate.matrix, identity, axes=([1], [qubit])), 0, qubit)
-    return _read_only(operator.reshape(2**num_qubits, -1))
+    """The 2^n x 2^n matrix I (x) G (x) I of `gate` on tensor factor `qubit`."""
+    before, after = np.eye(2**qubit), np.eye(2 ** (num_qubits - qubit - 1))
+    return _read_only(np.kron(np.kron(before, gate.matrix), after))
 
 
 def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
@@ -213,19 +211,11 @@ def _projectors(num_qubits: int, basis: str, qubits: tuple[int, ...]):
     are in outcome i's basis vector.
     """
     n, k = num_qubits, len(qubits)
-    rest = 2 ** (n - k)
-    basis_vectors = _BASES[basis]
-    # Move the measured qubits to the front of every basis ket (the
-    # trailing axis of `identity` indexes the kets) and take their
-    # overlaps with the basis vectors.
-    identity = np.eye(2**n, dtype=complex).reshape([2] * n + [-1])
-    moved = np.moveaxis(identity, qubits, range(k)).reshape(2**k, -1)
-    bras = (basis_vectors.conj() @ moved).reshape(len(basis_vectors), rest, 2**n)
-    # Tensor each basis vector with every basis ket of the other qubits,
-    # then move the measured qubits back into place.
-    post = basis_vectors[:, :, None, None] * np.eye(rest, dtype=complex)[None, None]
-    post = np.moveaxis(post.reshape([-1] + [2] * n + [rest]), range(1, k + 1), [q + 1 for q in qubits])
-    return _read_only(bras), _read_only(post.reshape(len(basis_vectors), 2**n, rest))
+    rest = np.eye(2 ** (n - k))
+    # moves the measured qubits, in order, to the front of every basis ket
+    to_front = np.moveaxis(np.eye(2**n).reshape([2] * n + [-1]), qubits, range(k)).reshape(2**n, -1)
+    bras = np.stack([np.kron(vector.conj(), rest) for vector in _BASES[basis]]) @ to_front
+    return _read_only(bras), _read_only(bras.conj().transpose(0, 2, 1))
 
 
 def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):

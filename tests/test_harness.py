@@ -480,12 +480,21 @@ class TestSessionCounts:
         copy = dataclasses.replace(report, session_counts=report.session_counts.copy())
         assert report == report
         assert copy == report
+        # a second run differs only in its wall time
+        assert run_experiment(RunConfig(message_length=20, seed=3, rounds_repeat=50)) == report
         assert "session_counts" not in repr(report)
         assert report.session_counts.shape == (50, 4)
         with pytest.raises(ValueError):
             report.session_counts[0, 0] = 1
         with pytest.raises(dataclasses.FrozenInstanceError):
             report.sessions = ()
+
+    def test_timing_adds_only_the_wall_time(self):
+        report = run_experiment(RunConfig(message_length=20, seed=3, rounds_repeat=5))
+        default, timed = json.loads(report.to_json()), json.loads(report.to_json(include_timing=True))
+        wall_time = timed.pop("wall_time")
+        assert type(wall_time) is float and wall_time >= 0.0
+        assert timed == default
 
 
 class TestBitCounts:

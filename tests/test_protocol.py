@@ -8,6 +8,7 @@ from fit import binomial_tails, chi2_critical
 from qsdc import adversary, qsim
 from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, TrentStrategy
+from qsdc.harness import RunConfig, run_experiment
 from qsdc.protocol import (
     ENCODING_RULES,
     EncodingVariant,
@@ -71,9 +72,13 @@ class TestEncoding:
     def test_invalid_bit(self):
         with pytest.raises(ValueError, match="bit"):
             encode_bit(ORIGINAL, 2, make_ghz())
-        for sampler in (run_round, run_round_statevector):
+        # the model is a pair indexed by bit: -1 would read bit 1's table
+        for bit in (2, -1, 1.0):
             with pytest.raises(ValueError, match="bit must be 0 or 1"):
-                sampler(P1, REVISED, 2, TrentStrategy.honest(), rng())
+                round_distribution(P1, REVISED, bit, TrentStrategy.honest())
+            for sampler in (run_round, run_round_statevector):
+                with pytest.raises(ValueError, match="bit must be 0 or 1"):
+                    sampler(P1, REVISED, bit, TrentStrategy.honest(), rng())
 
 
 class TestDecodeTables:
@@ -114,12 +119,12 @@ class TestDecodeTables:
     @pytest.fixture
     def encoding_rules(self, monkeypatch):
         """Install other encoding rules for both variants, clearing the
-        decode-map, tree and round caches around the swap."""
+        decode-map, tree and model caches around the swap."""
 
         def clear():
             protocol_module._decode_map.cache_clear()
             protocol_module._walked_tree.cache_clear()
-            protocol_module._round.cache_clear()
+            protocol_module._model.cache_clear()
 
         def install(bit0, bit1):
             rules = {variant: {0: bit0, 1: bit1} for variant in EncodingVariant}
@@ -133,6 +138,15 @@ class TestDecodeTables:
         encoding_rules((Gate.HADAMARD,), (Gate.HADAMARD,))
         with pytest.raises(ValueError, match="not single-valued"):
             decode(P1, PLUS, PHI_P)
+
+    def test_a_warm_run_reads_the_installed_rules(self, encoding_rules):
+        # the harness reads the one cached model, so clearing it drops the
+        # old rules' outcome classes too
+        config = RunConfig(protocol=P1, variant=REVISED, message_length=50, rounds_repeat=2)
+        run_experiment(config)
+        encoding_rules((Gate.HADAMARD,), (Gate.PAULI_Z,))
+        with pytest.raises(ValueError, match="not single-valued"):
+            run_experiment(config)
 
     def test_rejects_a_map_that_misses_outcome_pairs(self, encoding_rules):
         # without the Hadamard, bit 0 yields only phi and bit 1 only psi
@@ -386,12 +400,17 @@ class TestRoundTree:
         flattened = []
         tree_branches = qsim.tree_branches
         monkeypatch.setattr(qsim, "tree_branches", lambda tree: flattened.append(tree) or tree_branches(tree))
-        for cache in (protocol_module._walked_tree, protocol_module._decode_map, protocol_module._round):
+        for cache in (protocol_module._walked_tree, protocol_module._decode_map, protocol_module._model):
             cache.cache_clear()
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             round_distribution(protocol, variant, bit, TRENTS[name])
             run_round(protocol, variant, bit, TRENTS[name], rng(0))
             run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
+        # one flattening per (configuration, bit): sessions and runs add none
+        plan = SessionPlan.build([0, 1] * 10, 0.5, rng(0))
+        for protocol, variant, _, name in SAMPLER_CONFIGS:
+            run_session(protocol, variant, plan, TRENTS[name], rng(0))
+            run_experiment(RunConfig(protocol=protocol, variant=variant, trent=TRENTS[name], message_length=20))
         assert len(flattened) == len({id(tree) for tree in flattened}) == len(SAMPLER_CONFIGS)
 
     def test_an_all_zero_draw_lands_on_a_table_row(self):
