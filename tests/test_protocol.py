@@ -1,4 +1,7 @@
 import functools
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -777,6 +780,57 @@ class TestSessionFit:
         flips = sum(t.decoded_bit != tables[t.sent_bit][i].decoded_bit for t, i in rows)
         lower, upper = binomial_tails(flips, len(rows), noise)
         assert min(lower, upper) > FALSE_ALARM / 2, (flips, len(rows) * noise)
+
+
+ROUND_PIN_SEED = 9
+ROUND_PIN_ROUNDS = 60  # per bit and check flag, in a fixed interleaving
+ROUND_PIN_BITS = 200  # message bits of the pinned noisy session
+
+
+def _pin_line(t: RoundTranscript) -> str:
+    raw = None if t.adversary_raw is None else tuple(z.name for z in t.adversary_raw)
+    return repr((t.protocol.value, t.variant.value, t.sent_bit, t.is_check_bit,
+                 t.trent_announcement.name, t.bob_measurement.name, t.decoded_bit,
+                 t.adversary_guess, raw))
+
+
+def round_digests() -> dict[str, str]:
+    """sha256 of seeded transcripts of every (protocol, variant, Trent)
+    configuration, keyed protocol/variant/trent/sampler: of
+    `run_round_statevector` and `run_round` over both bits and check
+    flags, and of one `run_session` at noise 0.1 with its error rate and
+    abort flag; each followed by the generator's next draw.
+
+    tests/data/round_digests.json is this function's output, written
+    once and never regenerated: a sampler may change its speed, not its
+    transcripts or the draws it takes."""
+    order = [(bit, check) for _ in range(ROUND_PIN_ROUNDS) for bit in (0, 1) for check in (False, True)]
+    order = [order[i] for i in rng(0).permutation(len(order))]
+    digests = {}
+    for p in ProtocolId:
+        for v in EncodingVariant:
+            for name, trent in TRENTS.items():
+                key = f"p{p.value}/{v.value}/{name}"
+                for sampler in (run_round_statevector, run_round):
+                    generator = rng(ROUND_PIN_SEED)
+                    lines = [_pin_line(sampler(p, v, bit, trent, generator, check)) for bit, check in order]
+                    lines.append(repr(generator.random()))
+                    digests[f"{key}/{sampler.__name__}"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+                generator = rng(ROUND_PIN_SEED)
+                plan = SessionPlan.build(generator.integers(0, 2, ROUND_PIN_BITS), 0.5, generator)
+                transcripts, error_rate, abort = run_session(p, v, plan, trent, generator, noise_probability=0.1)
+                lines = [_pin_line(t) for t in transcripts]
+                lines += [repr(float(error_rate)), repr(bool(abort)), repr(generator.random())]
+                digests[f"{key}/run_session"] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return digests
+
+
+def test_every_configuration_matches_its_pinned_round_digests():
+    pinned = json.loads((Path(__file__).parent / "data" / "round_digests.json").read_text())
+    assert len(pinned) == 2 * 2 * 4 * 3
+    digests = round_digests()
+    assert [key for key in pinned if digests[key] != pinned[key]] == []
+    assert digests == pinned
 
 
 class TestTranscriptValidation:
