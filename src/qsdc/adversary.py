@@ -34,6 +34,13 @@ class TrentStrategy:
     kind: StrategyKind
     announcement_policy: AnnouncementPolicy | None = None
 
+    def __post_init__(self):
+        # hashed once: every cached-model lookup hashes the strategy
+        object.__setattr__(self, "_hash", hash((self.kind, self.announcement_policy)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def honest(cls) -> "TrentStrategy":
         return cls(kind=StrategyKind.HONEST)
@@ -70,14 +77,24 @@ P1_ANNOUNCEMENT = ("measure", "trent", "x", (QUBIT_T,))
 P2_ANNOUNCEMENT = ("measure", "trent", "bell", (QUBIT_A, QUBIT_T))
 
 
+def _check_strategy(trent: TrentStrategy) -> None:
+    """Raise ValueError unless `trent` is well formed: its policy None when honest."""
+    kind, policy = trent.kind, trent.announcement_policy
+    if not isinstance(kind, StrategyKind) or not (policy is None or isinstance(policy, AnnouncementPolicy)):
+        raise ValueError(f"trent must hold a StrategyKind and a policy or None, got {trent}")
+    if kind is StrategyKind.HONEST and policy is not None:
+        raise ValueError(f"trent: an honest Trent takes no announcement_policy, got {policy}")
+
+
 def trent_steps(trent: TrentStrategy, honest_announcement, default_policy: AnnouncementPolicy):
     """Trent's part of a round: his attack steps (none when honest) and
-    his announcement step.
+    his announcement step; a malformed strategy raises ValueError.
 
     An attacking Trent announces per his policy, or `default_policy` when
     he names none: the honest measurement itself (genuine) or a uniformly
     random outcome of its basis (uniform).
     """
+    _check_strategy(trent)
     if trent.kind is StrategyKind.HONEST:
         return (), honest_announcement
     if (trent.announcement_policy or default_policy) is AnnouncementPolicy.UNIFORM_RANDOM:

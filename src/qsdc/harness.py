@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import adversary, protocol, qsim
-from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
+from .adversary import StrategyKind, TrentStrategy
 from .protocol import EncodingVariant, ProtocolId
 from .qsim import BellOutcome, StateVector, XOutcome
 
@@ -51,11 +51,6 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, expected):
                 raise ConfigError(f"{name} must be of type {expected.__name__}, got {value!r}")
-        kind, policy = self.trent.kind, self.trent.announcement_policy
-        if not isinstance(kind, StrategyKind) or policy not in (None, *AnnouncementPolicy):
-            raise ConfigError(f"trent must hold a StrategyKind and a policy or None, got {self.trent}")
-        if kind is StrategyKind.HONEST and policy is not None:
-            raise ConfigError(f"trent: an honest Trent takes no announcement_policy, got {policy}")
         # Accept any integer type except bool; store it as a plain int so
         # that describe() and the reports serialize it.
         for name in ("message_length", "seed", "rounds_repeat"):
@@ -69,6 +64,7 @@ class RunConfig:
         if type(self.message_length) is not int or self.message_length < 1:
             raise ConfigError(f"message_length must be a positive integer, got {self.message_length}")
         try:
+            adversary._check_strategy(self.trent)
             protocol.check_round_count(self.message_length, self.check_fraction)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -284,20 +280,17 @@ _RIGHT_SIDES = {
 def assemble_pair_single(terms, pair, single_qubit) -> StateVector:
     """Build 0.5 * sum coeff |bell>_pair |x>_single as explicit amplitudes."""
     amps = np.zeros(8, dtype=complex)
+    # takes the outer product's axes (a, b, single) to qubit order
+    axes = np.argsort((*pair, single_qubit))
     for coeff, bell, x in terms:
-        bell_vec = qsim.BELL_VECTORS[bell]
-        x_vec = qsim.X_VECTORS[x]
-        pair_block = bell_vec.reshape(2, 2)
-        term_pair_first = np.tensordot(pair_block, x_vec, axes=0)  # axes (a, b, single)
-        term = np.moveaxis(term_pair_first, (0, 1), pair)
-        amps += 0.5 * coeff * term.reshape(-1)
+        term = np.multiply.outer(qsim.BELL_VECTORS[bell].reshape(2, 2), qsim.X_VECTORS[x])
+        amps += 0.5 * coeff * term.transpose(axes).reshape(-1)
     return StateVector(num_qubits=3, amplitudes=amps)
 
 
 def assemble_computational(coeffs: dict[int, complex]) -> StateVector:
     amps = np.zeros(8, dtype=complex)
-    for index, coeff in coeffs.items():
-        amps[index] = coeff
+    amps[list(coeffs)] = list(coeffs.values())
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     return StateVector(num_qubits=3, amplitudes=amps)
 

@@ -7,20 +7,18 @@ publishes, while Bob X-measures his own qubit.  Either way Bob combines
 the announcement with his own result to decode the bit.
 
 Each round is written once, as the step schedule `schedule(protocol,
-trent)`, with Trent's steps from `adversary.trent_steps`.  The rest is
-derived from it.  Once per (protocol, variant, bit, strategy) its exact
-branch tree (`qsim.schedule_tree`) is built and flattened once, and
-the flattenings of both bits become one cached model per (protocol,
-variant, strategy): per bit the tree, the branches and their cumulative
-probabilities (`round_distribution`) and each leaf's branch by path;
-both bits' transcripts end to end, four per branch (a message or a
-check round, its decoded bit as measured or flipped by channel noise);
-and the outcome classes `harness.run_experiment` draws from.
-`run_round_statevector` walks the tree, `run_round` and `run_session`
-draw from the cumulative tables, and all three only pick the branch's
-shared transcripts by index.  `decode` reads Bob's rule off the same
-flattening of the honest rounds, and the `qsdc tables` rows
-(`honest_correspondence_table`) are the honest distribution.
+trent)`, with Trent's steps from `adversary.trent_steps`; the rest is
+derived from it.  Per (protocol, variant, bit, strategy) the exact
+branch tree (`qsim.schedule_tree`) is built and flattened once, and both
+bits make one cached model per (protocol, variant, strategy): per bit
+the tree as a walk table and the branches with their cumulative
+probabilities (`round_distribution`); every transcript, four per branch
+(message or check round, decoded bit as measured or flipped by noise);
+and the outcome classes `harness.run_experiment` draws from.  The
+samplers only draw and pick shared transcripts by index:
+`run_round_statevector` walks the table, `run_round` and `run_session`
+bisect the cumulative tables.  `decode` reads Bob's rule off the honest
+flattenings, whose rows `honest_correspondence_table` prints.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
@@ -143,7 +141,7 @@ class SessionPlan:
 
 def _check_bit(bit: int) -> None:
     # the model's per-bit fields are pairs indexed by bit: -1 would read bit 1's
-    if not isinstance(bit, numbers.Integral) or bit not in (0, 1):
+    if not (type(bit) is int or isinstance(bit, numbers.Integral)) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
 
 
@@ -224,14 +222,13 @@ class _Model(NamedTuple):
     """One (protocol, variant, strategy) configuration, built once from the
     exact branch trees of both bits; a "per bit" field is indexed by bit."""
 
-    trees: tuple  # per bit: the round's `qsim.TreeNode`
+    walks: tuple  # per bit: the round's tree as `_walk_table` compiles it
     cumulative: tuple  # per bit: running sums of the branch probabilities
     branches: tuple  # per bit: its RoundBranches, in `qsim.tree_branches` order
-    branch_of: tuple  # per bit: leaf path (as `qsim.sample_tree` returns it) -> branch index
     offset: tuple  # per bit: index of its first transcript
-    # both bits' RoundTranscripts end to end, each branch's four at offset[bit]
-    # + 4 * branch + 2 * is_check + flipped (decoded bit inverted by noise)
-    transcripts: tuple
+    # both bits' RoundTranscripts end to end in a read-only object array, each
+    # branch's four at offset[bit] + 4 * branch + 2 * is_check + flipped
+    transcripts: np.ndarray
     check_error: np.ndarray  # per transcript: a check round that decodes wrong
     # `harness.run_experiment`'s outcome classes: the (bit, branch) cells, of
     # probability 0.5 * p, grouped by three flags (the round decodes wrong,
@@ -240,11 +237,24 @@ class _Model(NamedTuple):
     classes: tuple
 
 
+def _walk_table(node: qsim.TreeNode, leaves):
+    """`node`'s subtree as nested tuples: a measurement is (cumulative, total,
+    kids) of its `qsim._Born`, kids padded as `_Born.pick` clips; a random
+    step (None, n, kids); a leaf the next of `leaves`, in `tree_branches` order."""
+    if not node.children:
+        return next(leaves)
+    if node.born is None:
+        kids = [_walk_table(child, leaves) for child in node.children]
+        return None, len(kids), tuple(kids)
+    kids = [_walk_table(node.children[i], leaves) for i in node.born.support]
+    return tuple(node.born.cumulative), node.born.total, tuple(kids + kids[-1:])
+
+
 @functools.cache
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
     raises unless each bit's branches sum to 1."""
-    trees, cumulative, branches, branch_of, offset, transcripts = [], [], [], [], [], []
+    walks, cumulative, branches, offset, transcripts = [], [], [], [], []
     # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
@@ -275,10 +285,9 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         total = sum(b.probability for b in bit_branches)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"branch probabilities sum to {total}")
-        trees.append(tree)
+        walks.append(_walk_table(tree, iter(range(offset[bit], len(transcripts), 4))))
         cumulative.append(tuple(np.cumsum([b.probability for b in bit_branches])))
         branches.append(tuple(bit_branches))
-        branch_of.append({path: index for index, (_, _, path) in enumerate(walked)})
     wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
     # the probabilities sum to 1 only up to rounding
     p_class = np.array([sum(p for p, _ in members) for members in classes.values()])
@@ -287,12 +296,11 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         p_cell = np.array([p for p, _ in members])
         cells.append((tuple(label for _, label in members), p_cell / p_cell.sum()))
     return _Model(
-        trees=tuple(trees),
+        walks=tuple(walks),
         cumulative=tuple(cumulative),
         branches=tuple(branches),
-        branch_of=tuple(branch_of),
         offset=tuple(offset),
-        transcripts=tuple(transcripts),
+        transcripts=qsim._read_only(np.array(transcripts, dtype=object)),
         check_error=np.array([t.is_check_bit and t.decoded_bit != t.sent_bit for t in transcripts]),
         classes=(wrong, hit, equal, p_class / p_class.sum(), tuple(cells)),
     )
@@ -325,16 +333,18 @@ def run_round_statevector(
 
     Each measurement on the way draws one `rng.random()` against the
     Born probabilities of the state it measures, each random step one
-    `rng.integers`, in time order, exactly as `qsim.sample_schedule`
-    does.  The tree and the four transcripts of every branch are built
-    once per (protocol, variant, strategy), so a round runs no gate and
-    no projection and builds no transcript.  This is the reference
-    `run_round` is checked against.
+    `rng.integers`, in time order, exactly as `qsim.sample_tree` does.
+    The tree is compiled once into a walk table (`_walk_table`) whose
+    leaves index shared transcripts, so a round does little more than
+    its draws.  This is the reference `run_round` is checked against.
     """
     _check_bit(bit)
     model = _model(protocol, variant, trent)
-    path, _ = qsim.sample_tree(model.trees[bit], rng)
-    return model.transcripts[model.offset[bit] + 4 * model.branch_of[bit][path] + 2 * bool(is_check_bit)]
+    node = model.walks[bit]
+    while type(node) is tuple:  # a leaf is the branch's first transcript index
+        cumulative, total, kids = node
+        node = kids[rng.integers(total) if cumulative is None else bisect_right(cumulative, rng.random() * total)]
+    return model.transcripts[node + 2 * bool(is_check_bit)]
 
 
 def run_round(
@@ -351,9 +361,9 @@ def run_round(
     `round_distribution`) with one `rng.random()` and returns the
     branch's shared transcript, the one `run_round_statevector` returns
     for it.  `run_round_statevector` walks the same tree with one draw
-    per measurement instead: the two are distributionally identical and
-    cost about the same per round.  `run_session` samples a whole
-    session from the same tables at a small fraction of this cost.
+    per measurement or random step instead: the two are distributionally
+    identical, and this one makes one draw instead of two to four.
+    `run_session` samples a whole session at a fraction of this cost.
     """
     _check_bit(bit)
     model = _model(protocol, variant, trent)
@@ -388,7 +398,7 @@ def run_session(
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
     if not plan.is_check.any():
         raise ValueError("session plan has no check rounds")
-    if not np.isin(plan.bits, (0, 1)).all():
+    if not ((plan.bits == 0) | (plan.bits == 1)).all():
         raise ValueError("session plan bits must be 0 or 1")
     for name, rate in (("noise_probability", noise_probability), ("abort_threshold", abort_threshold)):
         if not 0.0 <= rate <= 1.0:
@@ -404,9 +414,9 @@ def run_session(
         rounds = plan.bits == bit
         branch = np.searchsorted(model.cumulative[bit], uniforms[rounds], side="right")
         index[rounds] += model.offset[bit] + 4 * np.minimum(branch, len(model.branches[bit]) - 1)
-    transcripts = list(map(model.transcripts.__getitem__, index.tolist()))
-    error_rate = np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check)
-    abort = error_rate > abort_threshold
+    transcripts = model.transcripts[index].tolist()
+    error_rate = float(np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check))
+    abort = bool(error_rate > abort_threshold)
     return transcripts, error_rate, abort
 
 

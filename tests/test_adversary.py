@@ -12,6 +12,7 @@ from qsdc.adversary import (
     attack_p2,
     honest_p1_announcement,
 )
+from qsdc import protocol
 from qsdc.protocol import EncodingVariant, ProtocolId, encode_bit, run_round
 from qsdc.qsim import BellOutcome, XOutcome, ZOutcome, make_ghz, x_probabilities
 
@@ -32,6 +33,21 @@ class TestStrategy:
         attack = TrentStrategy.attack(AnnouncementPolicy.UNIFORM_RANDOM)
         assert attack.kind is StrategyKind.ATTACK
         assert attack.announcement_policy is AnnouncementPolicy.UNIFORM_RANDOM
+
+    def test_hash_is_computed_once_at_construction(self, monkeypatch):
+        # a cached-model lookup hashes the strategy on every round
+        strategies = [TrentStrategy.honest(), TrentStrategy.attack()]
+        strategies += [TrentStrategy.attack(policy) for policy in AnnouncementPolicy]
+        hashes = [hash((s.kind, s.announcement_policy)) for s in strategies]
+        model = protocol._model(ProtocolId.PROTOCOL_2, REVISED, strategies[-1])
+
+        def refuse(self):
+            raise AssertionError("an enum was hashed")
+
+        monkeypatch.setattr(StrategyKind, "__hash__", refuse)
+        monkeypatch.setattr(AnnouncementPolicy, "__hash__", refuse)
+        assert [hash(s) for s in strategies] == hashes
+        assert protocol._model(ProtocolId.PROTOCOL_2, REVISED, strategies[-1]) is model
 
     def test_record_consistency_enforced(self):
         with pytest.raises(ValueError, match="guessed_bit"):

@@ -4,7 +4,7 @@ amplitude by amplitude."""
 import numpy as np
 import pytest
 
-from qsdc import adversary, protocol, qsim
+from qsdc import adversary, harness, protocol, qsim
 from qsdc.adversary import QUBIT_A, QUBIT_T, TrentStrategy
 from qsdc.harness import assemble_computational, assemble_pair_single, verify_identities
 from qsdc.protocol import EncodingVariant, ProtocolId, encode_bit
@@ -102,3 +102,22 @@ def test_verify_reads_the_attack_steps(monkeypatch):
     assert _failing_identities() == [
         "eq3", "eq4", "eq7", "eq8", "eq11", "eq12", "eq15", "eq16"
     ]
+
+
+def _tensordot_pair_single(terms, pair, single_qubit):
+    """`assemble_pair_single` as first written: each term an outer product
+    by `np.tensordot(..., axes=0)`, its axes moved by `np.moveaxis`."""
+    amps = np.zeros(8, dtype=complex)
+    for coeff, bell, x in terms:
+        term = np.tensordot(qsim.BELL_VECTORS[bell].reshape(2, 2), qsim.X_VECTORS[x], axes=0)
+        amps += 0.5 * coeff * np.moveaxis(term, (0, 1), pair).reshape(-1)
+    return amps
+
+
+@pytest.mark.parametrize("pair,single_qubit", [((0, 2), 1), ((0, 1), 2)])
+def test_pair_single_assembly_keeps_every_amplitude(pair, single_qubit):
+    # the outer product and one transpose give bit for bit the amplitudes
+    # of the tensordot construction, so every residual keeps its value
+    for terms, _ in harness._RIGHT_SIDES.values():
+        state = assemble_pair_single(terms, pair, single_qubit)
+        assert np.array_equal(state.amplitudes, _tensordot_pair_single(terms, pair, single_qubit))

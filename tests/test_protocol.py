@@ -10,7 +10,7 @@ import oracle
 from fit import binomial_tails, chi2_critical
 from qsdc import adversary, qsim
 from qsdc import protocol as protocol_module
-from qsdc.adversary import AnnouncementPolicy, TrentStrategy
+from qsdc.adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from qsdc.harness import RunConfig, run_experiment
 from qsdc.protocol import (
     ENCODING_RULES,
@@ -82,6 +82,39 @@ class TestEncoding:
             for sampler in (run_round, run_round_statevector):
                 with pytest.raises(ValueError, match="bit must be 0 or 1"):
                     sampler(P1, REVISED, bit, TrentStrategy.honest(), rng())
+
+
+def test_numpy_integers_and_bools_are_bits():
+    honest = TrentStrategy.honest()
+    for bit in (np.int64(1), np.uint8(0), True, False):
+        for sampler in (run_round, run_round_statevector):
+            assert sampler(P1, REVISED, bit, honest, rng()).sent_bit == bit
+        assert round_distribution(P1, REVISED, bit, honest) == round_distribution(P1, REVISED, int(bit), honest)
+
+
+BAD_TRENTS = {
+    "kind": TrentStrategy("honest"),
+    "policy": TrentStrategy(StrategyKind.ATTACK, "uniform"),
+    "honest-with-policy": TrentStrategy(StrategyKind.HONEST, AnnouncementPolicy.UNIFORM_RANDOM),
+}
+
+
+@pytest.mark.parametrize("trent", BAD_TRENTS.values(), ids=list(BAD_TRENTS))
+@pytest.mark.parametrize("protocol", list(ProtocolId))
+def test_every_round_entry_point_rejects_a_malformed_strategy(protocol, trent):
+    # before, `TrentStrategy("honest")` ran the insider attack
+    plan = SessionPlan.build([0, 1] * 10, 0.5, rng())
+    calls = {
+        "schedule": lambda: schedule(protocol, trent),
+        "round_distribution": lambda: round_distribution(protocol, REVISED, 0, trent),
+        "run_round": lambda: run_round(protocol, REVISED, 0, trent, rng()),
+        "run_round_statevector": lambda: run_round_statevector(protocol, REVISED, 1, trent, rng()),
+        "run_session": lambda: run_session(protocol, ORIGINAL, plan, trent, rng()),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="^trent"):
+            call()
+            pytest.fail(f"{name} accepted {trent}")
 
 
 class TestDecodeTables:
@@ -398,6 +431,45 @@ class TestRoundTree:
                 run_round_statevector(protocol, variant, bit, TRENTS[name], generator)
             run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
 
+    def test_compiled_walk_takes_the_branch_and_draws_of_sample_tree(self):
+        # the model's walk table against `qsim.sample_tree` on the tree it
+        # was compiled from, plus the leaf path's branch: same transcript,
+        # same draws, on seeded streams, all-zero draws and draws just below
+        # 1.  A draw of 1.0, which no generator makes, reaches the padding
+        # past each measurement's last possible outcome.
+        below_one = float(np.nextafter(1.0, 0.0))
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            trent = TRENTS[name]
+            tree, walked = protocol_module._walked_tree(protocol, variant, bit, trent)
+            branch_of = {path: index for index, (_, _, path) in enumerate(walked)}
+            model = protocol_module._model(protocol, variant, trent)
+            streams = [(rng(seed), rng(seed)) for seed in range(8)]
+            streams += [(_Uniforms([u] * 9), _Uniforms([u] * 9)) for u in (0.0, below_one, 1.0)]
+            for walking, sampling in streams:
+                for check in (False, True):
+                    path, _ = qsim.sample_tree(tree, sampling)
+                    expected = model.transcripts[model.offset[bit] + 4 * branch_of[path] + 2 * check]
+                    assert run_round_statevector(protocol, variant, bit, trent, walking, check) is expected
+                if isinstance(walking, _Uniforms):
+                    assert len(walking.values) == len(sampling.values)
+                else:
+                    assert walking.random() == sampling.random()
+
+    def test_warm_rounds_neither_sample_the_tree_nor_pick(self, monkeypatch):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a warm round walked the TreeNode tree")
+
+        monkeypatch.setattr(qsim, "sample_tree", refuse)
+        monkeypatch.setattr(qsim._Born, "pick", refuse)
+        generator = rng(1)
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            for check in (False, True):
+                for _ in range(10):
+                    run_round_statevector(protocol, variant, bit, TRENTS[name], generator, check)
+
     def test_each_configuration_is_flattened_once(self, monkeypatch):
         # the decode map, the table and both samplers read one flattening
         flattened = []
@@ -623,6 +695,13 @@ class TestRunSession:
         # across both sessions, equal transcripts are one object
         assert len({id(t) for t in transcripts}) == len(set(transcripts))
 
+    @pytest.mark.parametrize("threshold", [0.02, np.float64(0.02)], ids=["float", "float64"])
+    def test_session_returns_a_float_rate_and_a_bool_abort(self, threshold):
+        plan = SessionPlan.build(rng(47).integers(0, 2, 100), 0.5, rng(48))
+        for trent in (TrentStrategy.honest(), TrentStrategy.attack()):
+            _, error_rate, abort = run_session(P1, ORIGINAL, plan, trent, rng(49), abort_threshold=threshold)
+            assert type(error_rate) is float and type(abort) is bool
+
     def test_message_withheld_on_abort(self):
         assert extract_message([], True) is None
 
@@ -717,6 +796,10 @@ class _Uniforms:
             return self.values.pop(0)
         drawn, self.values = self.values[:size], self.values[size:]
         return np.array(drawn)
+
+    def integers(self, n):
+        # a random step's symbol from the next uniform, the last one for 1.0
+        return min(int(self.values.pop(0) * n), n - 1)
 
 
 SESSION_FIT_CONFIGS = {
