@@ -280,8 +280,7 @@ _RIGHT_SIDES = {
 def assemble_pair_single(terms, pair, single_qubit) -> StateVector:
     """Build 0.5 * sum coeff |bell>_pair |x>_single as explicit amplitudes."""
     amps = np.zeros(8, dtype=complex)
-    # takes the outer product's axes (a, b, single) to qubit order
-    axes = np.argsort((*pair, single_qubit))
+    axes = np.argsort((*pair, single_qubit))  # outer product axes (a, b, single) to qubits
     for coeff, bell, x in terms:
         term = np.multiply.outer(qsim.BELL_VECTORS[bell].reshape(2, 2), qsim.X_VECTORS[x])
         amps += 0.5 * coeff * term.transpose(axes).reshape(-1)
@@ -290,7 +289,8 @@ def assemble_pair_single(terms, pair, single_qubit) -> StateVector:
 
 def assemble_computational(coeffs: dict[int, complex]) -> StateVector:
     amps = np.zeros(8, dtype=complex)
-    amps[list(coeffs)] = list(coeffs.values())
+    for index, coeff in coeffs.items():
+        amps[index] = coeff
     amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
     return StateVector(num_qubits=3, amplitudes=amps)
 

@@ -240,7 +240,7 @@ class _Model(NamedTuple):
 def _walk_table(node: qsim.TreeNode, leaves):
     """`node`'s subtree as nested tuples: a measurement is (cumulative, total,
     kids) of its `qsim._Born`, kids padded as `_Born.pick` clips; a random
-    step (None, n, kids); a leaf the next of `leaves`, in `tree_branches` order."""
+    step (None, n, kids); a leaf the next of `leaves`, in `qsim.tree_branches` order."""
     if not node.children:
         return next(leaves)
     if node.born is None:
