@@ -78,7 +78,7 @@ P2_ANNOUNCEMENT = ("measure", "trent", "bell", (QUBIT_A, QUBIT_T))
 
 
 def _check_strategy(trent: TrentStrategy) -> None:
-    """Raise ValueError unless `trent` is well formed: its policy None when honest."""
+    """Raise ValueError unless `trent` is a StrategyKind with a policy or None, None if honest."""
     kind, policy = trent.kind, trent.announcement_policy
     if not isinstance(kind, StrategyKind) or not (policy is None or isinstance(policy, AnnouncementPolicy)):
         raise ValueError(f"trent must hold a StrategyKind and a policy or None, got {trent}")

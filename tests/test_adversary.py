@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracle
+from qsdc import protocol
 from qsdc.adversary import (
     AnnouncementPolicy,
     AttackRecord,
@@ -12,7 +13,6 @@ from qsdc.adversary import (
     attack_p2,
     honest_p1_announcement,
 )
-from qsdc import protocol
 from qsdc.protocol import EncodingVariant, ProtocolId, encode_bit, run_round
 from qsdc.qsim import BellOutcome, XOutcome, ZOutcome, make_ghz, x_probabilities
 
