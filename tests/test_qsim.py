@@ -1,5 +1,8 @@
 import functools
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -413,3 +416,87 @@ class TestSchedules:
             assert p_r == pytest.approx(1 / 3, abs=ATOL)
         assert all(p > 1e-15 for p, _, _ in branches)
         assert len({tuple(out.items()) for _, out, _ in branches}) == len(branches)
+
+
+SCHEDULE_PIN_SEED = 5
+SCHEDULE_PIN_RUNS = 12  # seeded calls per schedule or attack
+
+
+def _hex_line(values) -> str:
+    return " ".join(f"{complex(v).real.hex()},{complex(v).imag.hex()}" for v in values)
+
+
+def _outcomes_line(outcomes: dict) -> str:
+    return " ".join(f"{role}={outcome}" for role, outcome in outcomes.items())
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def schedule_digests() -> dict[str, str]:
+    """sha256 of what the round's physics hands its consumers, keyed by
+    kind and configuration:
+
+    - `distribution/...`: every branch probability of `round_distribution`
+      and its cumulative sums, in float hex;
+    - `schedule/...`: seeded `qsim.sample_schedule` outcomes and final
+      amplitudes over every round schedule (after Alice's encoding) and
+      `TestSchedules.SCHEDULE`, then the generator's next draw;
+    - `attack_p1/...`, `attack_p2/...`: seeded attack records,
+      announcements and collapsed states, then the next draw.
+
+    tests/data/schedule_digests.json is this function's output, written
+    once and never regenerated."""
+    from qsdc import adversary, protocol
+
+    trents = {
+        "honest": adversary.TrentStrategy.honest(),
+        "attack": adversary.TrentStrategy.attack(),
+        **{policy.value: adversary.TrentStrategy.attack(policy) for policy in adversary.AnnouncementPolicy},
+    }
+
+    def sampled(key, initial, run):
+        generator = rng(SCHEDULE_PIN_SEED)
+        lines = []
+        for _ in range(SCHEDULE_PIN_RUNS):
+            *outcomes, state = run(initial(), generator)
+            lines += [" ".join(map(str, outcomes)), _hex_line(state.amplitudes)]
+        lines.append(repr(generator.random()))
+        digests[key] = _digest(lines)
+
+    def sample_schedule(steps):
+        def run(state, generator):
+            outcomes, final = qsim.sample_schedule(state, steps, generator)
+            return _outcomes_line(outcomes), final
+
+        return run
+
+    digests = {}
+    for p in protocol.ProtocolId:
+        for v in protocol.EncodingVariant:
+            for name, trent in trents.items():
+                for bit in (0, 1):
+                    key = f"p{p.value}/{v.value}/{name}/bit{bit}"
+                    cumulative, branches = protocol.round_distribution(p, v, bit, trent)
+                    lines = [_hex_line([b.probability for b in branches]), _hex_line(cumulative)]
+                    digests[f"distribution/{key}"] = _digest(lines)
+                    encoded = functools.partial(protocol.encode_bit, v, bit, make_ghz())
+                    sampled(f"schedule/{key}", encoded, sample_schedule(protocol.schedule(p, trent)))
+    sampled("schedule/TestSchedules", make_ghz, sample_schedule(TestSchedules.SCHEDULE))
+    for v in protocol.EncodingVariant:
+        for bit in (0, 1):
+            encoded = functools.partial(protocol.encode_bit, v, bit, make_ghz())
+            sampled(f"attack_p1/{v.value}/bit{bit}", encoded, adversary.attack_p1)
+            for policy in adversary.AnnouncementPolicy:
+                sampled(f"attack_p2/{policy.value}/{v.value}/bit{bit}", encoded,
+                        functools.partial(adversary.attack_p2, policy=policy))
+    return digests
+
+
+def test_schedules_match_their_pinned_digests():
+    pinned = json.loads((Path(__file__).parent / "data" / "schedule_digests.json").read_text())
+    assert len(pinned) == 2 * 32 + 1 + 4 * 3
+    digests = schedule_digests()
+    assert [key for key in pinned if digests[key] != pinned[key]] == []
+    assert digests == pinned
