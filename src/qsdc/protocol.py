@@ -8,17 +8,18 @@ the announcement with his own result to decode the bit.
 
 Each round is written once, as the step schedule `schedule(protocol,
 trent)`, with Trent's steps from `adversary.trent_steps`; the rest is
-derived from it.  Per (protocol, variant, bit, strategy) the exact
-branch tree (`qsim.schedule_tree`) is built and flattened once, and both
-bits make one cached model per (protocol, variant, strategy): per bit
-the tree as a walk table and the branches with their cumulative
-probabilities (`round_distribution`); every transcript, four per branch
-(message or check round, decoded bit as measured or flipped by noise);
-and the outcome classes `harness.run_experiment` draws from.  The
-samplers only draw and pick shared transcripts by index:
-`run_round_statevector` walks the table, `run_round` and `run_session`
-bisect the cumulative tables.  `decode` reads Bob's rule off the honest
-flattenings, whose rows `honest_correspondence_table` prints.
+derived from it.  Per (protocol, variant, bit, strategy) one pass of
+`qsim.schedule_branches` lists the round's exact branches and builds
+their walk table, and both bits make one cached model per (protocol,
+variant, strategy): per bit the walk table and the branches with their
+cumulative probabilities (`round_distribution`); every transcript, four
+per branch (message or check round, decoded bit as measured or flipped
+by noise); and the outcome classes `harness.run_experiment` draws from.
+The samplers only draw a branch and pick its shared transcript by
+index: `run_round_statevector` walks the table (`qsim.walk`),
+`run_round` and `run_session` bisect the cumulative tables.  `decode`
+reads Bob's rule off the honest branches, whose rows
+`honest_correspondence_table` prints.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
@@ -171,13 +172,12 @@ def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
 
 
 @functools.cache
-def _walked_tree(
+def _round_branches(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
-) -> tuple[qsim.TreeNode, list]:
-    """The round's exact branch tree and its one flattening
-    (`qsim.tree_branches`), cached per (protocol, variant, bit, strategy)."""
-    tree = qsim.schedule_tree(encode_bit(variant, bit, qsim.make_ghz()), schedule(protocol, trent))
-    return tree, qsim.tree_branches(tree)
+) -> tuple[list, object]:
+    """The round's exact branches and their walk table
+    (`qsim.schedule_branches`), cached per (protocol, variant, bit, strategy)."""
+    return qsim.schedule_branches(encode_bit(variant, bit, qsim.make_ghz()), schedule(protocol, trent))
 
 
 @functools.cache
@@ -187,7 +187,7 @@ def _decode_map(protocol: ProtocolId) -> dict:
     table = {}
     for variant in EncodingVariant:
         for bit in (0, 1):
-            for _, outcomes, _ in _walked_tree(protocol, variant, bit, TrentStrategy.honest())[1]:
+            for _, outcomes in _round_branches(protocol, variant, bit, TrentStrategy.honest())[0]:
                 key = (outcomes["trent"], outcomes["bob"])
                 if table.setdefault(key, bit) != bit:
                     raise ValueError(f"decode map not single-valued at {key}")
@@ -220,11 +220,11 @@ class RoundBranch:
 
 class _Model(NamedTuple):
     """One (protocol, variant, strategy) configuration, built once from the
-    exact branch trees of both bits; a "per bit" field is indexed by bit."""
+    exact branches of both bits; a "per bit" field is indexed by bit."""
 
-    walks: tuple  # per bit: the round's tree as `_walk_table` compiles it
+    walks: tuple  # per bit: the round's walk table, whose leaves are branch indices
     cumulative: tuple  # per bit: running sums of the branch probabilities
-    branches: tuple  # per bit: its RoundBranches, in `qsim.tree_branches` order
+    branches: tuple  # per bit: its RoundBranches, in `qsim.schedule_branches` order
     offset: tuple  # per bit: index of its first transcript
     # both bits' RoundTranscripts end to end in a read-only object array, each
     # branch's four at offset[bit] + 4 * branch + 2 * is_check + flipped
@@ -237,19 +237,6 @@ class _Model(NamedTuple):
     classes: tuple
 
 
-def _walk_table(node: qsim.TreeNode, leaves):
-    """`node`'s subtree as nested tuples: a measurement is (cumulative, total,
-    kids) of its `qsim._Born`, kids padded as `_Born.pick` clips; a random
-    step (None, n, kids); a leaf the next of `leaves`, in `qsim.tree_branches` order."""
-    if not node.children:
-        return next(leaves)
-    if node.born is None:
-        kids = [_walk_table(child, leaves) for child in node.children]
-        return None, len(kids), tuple(kids)
-    kids = [_walk_table(node.children[i], leaves) for i in node.born.support]
-    return tuple(node.born.cumulative), node.born.total, tuple(kids + kids[-1:])
-
-
 @functools.cache
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
@@ -259,10 +246,10 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
     for bit in (0, 1):
-        tree, walked = _walked_tree(protocol, variant, bit, trent)
+        walked, table = _round_branches(protocol, variant, bit, trent)
         offset.append(len(transcripts))
         bit_branches = []
-        for p, outcomes, _ in walked:
+        for p, outcomes in walked:
             announcement, measurement = outcomes["trent"], outcomes["bob"]
             record = adversary.attack_record(outcomes)
             decoded = decode(protocol, announcement, measurement)
@@ -285,7 +272,7 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         total = sum(b.probability for b in bit_branches)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"branch probabilities sum to {total}")
-        walks.append(_walk_table(tree, iter(range(offset[bit], len(transcripts), 4))))
+        walks.append(table)
         cumulative.append(tuple(np.cumsum([b.probability for b in bit_branches])))
         branches.append(tuple(bit_branches))
     wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
@@ -310,7 +297,7 @@ def round_distribution(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
 ) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
     """Cumulative probabilities and branches of one round: one branch per
-    leaf of the round's tree.
+    leaf of the round's walk table.
 
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple supports bisection sampling.
@@ -329,22 +316,21 @@ def run_round_statevector(
     is_check_bit: bool = False,
 ) -> RoundTranscript:
     """Execute one full round on a fresh GHZ triple by walking the
-    round's state-vector branch tree.
+    round's state-vector branches.
 
-    Each measurement on the way draws one `rng.random()` against the
-    Born probabilities of the state it measures, each random step one
-    `rng.integers`, in time order, exactly as `qsim.sample_tree` does.
-    The tree is compiled once into a walk table (`_walk_table`) whose
-    leaves index shared transcripts, so a round does little more than
-    its draws.  This is the reference `run_round` is checked against.
+    `qsim.walk` draws the branch from the round's walk table: one
+    `rng.random()` per measurement against the Born probabilities of the
+    state it measures, one `rng.integers` per random step, in time
+    order, exactly as `qsim.sample_schedule` draws when it runs the
+    round's schedule.  The table is built once with the branches, so a
+    round does little more than its draws.  This is the reference
+    `run_round` is checked against: the two differ only in how they
+    draw the branch whose shared transcript they return.
     """
     _check_bit(bit)
     model = _model(protocol, variant, trent)
-    node = model.walks[bit]
-    while type(node) is tuple:  # a leaf is the branch's first transcript index
-        cumulative, total, kids = node
-        node = kids[rng.integers(total) if cumulative is None else bisect_right(cumulative, rng.random() * total)]
-    return model.transcripts[node + 2 * bool(is_check_bit)]
+    branch = qsim.walk(model.walks[bit], rng)
+    return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 
 def run_round(
@@ -360,9 +346,10 @@ def run_round(
     Samples the round's exact joint outcome distribution (see
     `round_distribution`) with one `rng.random()` and returns the
     branch's shared transcript, the one `run_round_statevector` returns
-    for it.  `run_round_statevector` walks the same tree with one draw
-    per measurement or random step instead: the two are distributionally
-    identical, and this one makes one draw instead of two to four.
+    for it.  `run_round_statevector` walks the same branches with one
+    draw per measurement or random step instead: the two are
+    distributionally identical, and this one makes one draw instead of
+    two to four.
     `run_session` samples a whole session at a fraction of this cost.
     """
     _check_bit(bit)

@@ -13,16 +13,16 @@ products with identities (see `_gate_operator` and `_projectors`), and
 cached.
 
 A step schedule (gates, measurements and uniformly random symbols in
-time order) has one exact walk: `schedule_tree` applies each gate and
-projects each measurement once per branch and keeps every Born
-probability and post-measurement state.  An outcome is possible only
-when its Born probability exceeds ATOL: smaller ones are rounding
-residue of exact zeros, so the tree has no branch for them and
-`measure_*` never returns them.  `tree_branches` flattens the tree into
-its exact branch list and `sample_tree` walks it, one draw per
-measurement or random step; a measurement picks its outcome by the same
-rule as `measure_*`.  `sample_schedule` builds a schedule's tree and
-walks it.
+time order) has one exact walk: `schedule_branches` applies each gate
+and projects each measurement once per branch, in one recursive pass
+that lists every branch with its joint probability and builds the walk
+table of the same branches.  An outcome is possible only when its Born
+probability exceeds ATOL: smaller ones are rounding residue of exact
+zeros, so no branch has them and `measure_*` never returns them.  `walk`
+draws a branch from the table, one draw per measurement or random step;
+a measurement picks its outcome by the same rule as `measure_*`.
+`sample_schedule` runs a schedule step by step with the primitives,
+making the same draws.
 """
 from __future__ import annotations
 
@@ -292,100 +292,80 @@ def measure_bell(
     return _sample_projective(state, "bell", (qubit_a, qubit_b), rng)
 
 
-@dataclass(frozen=True, eq=False)
-class TreeNode:
-    """One node of a schedule's branch tree.
-
-    A measurement node holds the Born probabilities of its state
-    (`born`) and one child per outcome of `outcomes`, None where the
-    outcome is impossible (see `_Born`).  A random step (`born` None)
-    has one child per symbol, all the same subtree.  A leaf has no
-    children.  `state` is the state the node's step acts on; at a leaf,
-    the final state.
-    """
-
-    role: str | None
-    outcomes: tuple
-    born: _Born | None
-    children: tuple
-    state: StateVector
-
-
-def schedule_tree(state: StateVector, schedule) -> TreeNode:
-    """The exact branch tree of a step schedule run on `state`.
+def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, dict]], object]:
+    """The exact branches of a step schedule run on `state`, and its walk table.
 
     A schedule is a time-ordered tuple of steps: ("gate", Gate, qubit),
     ("measure", role, "z" | "x" | "bell", qubits) or ("random", role,
     alphabet), the last a uniformly random symbol.  Each gate is applied
     and each measurement projected once per branch; every possible
-    outcome (Born probability above ATOL) gets its subtree.
+    outcome (Born probability above ATOL) gets its branches.
+
+    `branches` holds (joint probability, outcomes by role) of every
+    branch, ordered by the first step's outcome, then the second's, each
+    in alphabet order.  `table` is the tree of the same branches as
+    nested tuples, read by `walk`: a measurement is (cumulative, total,
+    kids) of its `_Born`, kids in support order and padded with the last
+    one as `_Born.pick` clips; a random step is (None, n, kids); a leaf
+    is its branch's index in `branches`.
     """
-    if not schedule:
-        return TreeNode(None, (), None, (), state)
-    step, rest = schedule[0], schedule[1:]
-    if step[0] == "gate":
-        return schedule_tree(apply_gate(state, step[1], step[2]), rest)
-    if step[0] == "measure":
-        _, role, basis, qubits = step
-        if basis == "bell":
-            _check_pair(state, *qubits)
-        else:
-            state._check_qubit(*qubits)
-        probs, collapse = _project(state, basis, qubits)
-        born = _Born(probs)
-        children = tuple(
-            schedule_tree(collapse(i), rest) if i in born.support else None
-            for i in range(len(probs))
-        )
-        return TreeNode(role, OUTCOMES[basis], born, children, state)
-    _, role, alphabet = step
-    return TreeNode(role, tuple(alphabet), None, (schedule_tree(state, rest),) * len(alphabet), state)
-
-
-def tree_branches(tree: TreeNode) -> list[tuple[float, dict, tuple]]:
-    """(joint probability, outcomes by role, path) of every branch of
-    `tree`, ordered by the first step's outcome, then the second's, each
-    in alphabet order.  A path is the tuple of child indices `sample_tree`
-    returns."""
     branches = []
 
-    def visit(node, probability, outcomes, path):
-        if not node.children:
-            branches.append((probability, outcomes, path))
-        for index, (outcome, child) in enumerate(zip(node.outcomes, node.children)):
-            if child is None:
-                continue
-            if node.born is None:
-                p = probability / len(node.children)
+    def visit(state, steps, probability, outcomes):
+        if not steps:
+            branches.append((probability, outcomes))
+            return len(branches) - 1
+        step, rest = steps[0], steps[1:]
+        if step[0] == "gate":
+            return visit(apply_gate(state, step[1], step[2]), rest, probability, outcomes)
+        if step[0] == "measure":
+            _, role, basis, qubits = step
+            if basis == "bell":
+                _check_pair(state, *qubits)
             else:
-                p = probability * node.born.probs[index]
-            visit(child, p, {**outcomes, node.role: outcome}, path + (index,))
+                state._check_qubit(*qubits)
+            probs, collapse = _project(state, basis, qubits)
+            born = _Born(probs)
+            kids = [
+                visit(collapse(i), rest, probability * born.probs[i], {**outcomes, role: OUTCOMES[basis][i]})
+                for i in born.support
+            ]
+            return tuple(born.cumulative), born.total, tuple(kids + kids[-1:])
+        _, role, alphabet = step
+        kids = [visit(state, rest, probability / len(alphabet), {**outcomes, role: symbol}) for symbol in alphabet]
+        return None, len(kids), tuple(kids)
 
-    visit(tree, 1.0, {}, ())
-    return branches
+    table = visit(state, schedule, 1.0, {})
+    return branches, table
 
 
-def sample_tree(tree: TreeNode, rng) -> tuple[tuple[int, ...], TreeNode]:
-    """One branch of `tree`, drawn from `rng` in time order: one
-    `rng.random()` per measurement, one `rng.integers` per random step.
-    Returns the child indices taken and the leaf reached."""
-    path = []
-    node = tree
-    while node.children:
-        born = node.born
-        index = int(rng.integers(len(node.children))) if born is None else born.pick(rng.random())
-        path.append(index)
-        node = node.children[index]
-    return tuple(path), node
+def walk(table, rng) -> int:
+    """The index of one branch of a `schedule_branches` table, drawn from
+    `rng` in time order: one `rng.random()` per measurement, picked by
+    the rule of `measure_*`, one `rng.integers` per random step."""
+    node = table
+    while type(node) is tuple:
+        cumulative, total, kids = node
+        if cumulative is None:
+            node = kids[rng.integers(total)]
+        else:
+            node = kids[bisect.bisect_right(cumulative, rng.random() * total)]
+    return node
 
 
 def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
-    """Sample one branch of a step schedule run on `state` (see
-    `schedule_tree`): the outcomes by role and the final state."""
-    node = schedule_tree(state, schedule)
-    path, leaf = sample_tree(node, rng)
+    """Run a step schedule (see `schedule_branches`) on `state` with the
+    primitives, drawing from `rng` as `walk` does: the outcomes by role
+    and the final state."""
+    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}
     outcomes = {}
-    for index in path:
-        outcomes[node.role] = node.outcomes[index]
-        node = node.children[index]
-    return outcomes, leaf.state
+    for step in schedule:
+        if step[0] == "gate":
+            state = apply_gate(state, step[1], step[2])
+        elif step[0] == "measure":
+            _, role, basis, qubits = step
+            outcomes[role], state = measure[basis](state, *qubits, rng)
+        else:
+            _, role, alphabet = step
+            outcomes[role] = alphabet[rng.integers(len(alphabet))]
+    return outcomes, state

@@ -155,11 +155,11 @@ class TestDecodeTables:
     @pytest.fixture
     def encoding_rules(self, monkeypatch):
         """Install other encoding rules for both variants, clearing the
-        decode-map, tree and model caches around the swap."""
+        decode-map, branch and model caches around the swap."""
 
         def clear():
             protocol_module._decode_map.cache_clear()
-            protocol_module._walked_tree.cache_clear()
+            protocol_module._round_branches.cache_clear()
             protocol_module._model.cache_clear()
 
         def install(bit0, bit1):
@@ -431,38 +431,42 @@ class TestRoundTree:
                 run_round_statevector(protocol, variant, bit, TRENTS[name], generator)
             run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
 
-    def test_compiled_walk_takes_the_branch_and_draws_of_sample_tree(self):
-        # the model's walk table against `qsim.sample_tree` on the tree it
-        # was compiled from, plus the leaf path's branch: same transcript,
-        # same draws, on seeded streams, all-zero draws and draws just below
-        # 1.  A draw of 1.0, which no generator makes, reaches the padding
-        # past each measurement's last possible outcome.
+    def test_walk_takes_the_branch_and_draws_of_sample_schedule(self):
+        # the model's walk table against `qsim.sample_schedule` stepping the
+        # round's schedule with the primitives, its branch keyed by the
+        # outcomes (one branch each): same transcript, same draws, on seeded
+        # streams, all-zero draws and draws just below 1.  A draw of 1.0,
+        # which no generator makes, reaches the padding past each
+        # measurement's last possible outcome.
         below_one = float(np.nextafter(1.0, 0.0))
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             trent = TRENTS[name]
-            tree, walked = protocol_module._walked_tree(protocol, variant, bit, trent)
-            branch_of = {path: index for index, (_, _, path) in enumerate(walked)}
+            walked, _ = protocol_module._round_branches(protocol, variant, bit, trent)
+            branch_of = {tuple(outcomes.items()): index for index, (_, outcomes) in enumerate(walked)}
+            assert len(branch_of) == len(walked)
             model = protocol_module._model(protocol, variant, trent)
+            steps = schedule(protocol, trent)
             streams = [(rng(seed), rng(seed)) for seed in range(8)]
             streams += [(_Uniforms([u] * 9), _Uniforms([u] * 9)) for u in (0.0, below_one, 1.0)]
             for walking, sampling in streams:
                 for check in (False, True):
-                    path, _ = qsim.sample_tree(tree, sampling)
-                    expected = model.transcripts[model.offset[bit] + 4 * branch_of[path] + 2 * check]
+                    outcomes, _ = qsim.sample_schedule(encode_bit(variant, bit, make_ghz()), steps, sampling)
+                    branch = branch_of[tuple(outcomes.items())]
+                    expected = model.transcripts[model.offset[bit] + 4 * branch + 2 * check]
                     assert run_round_statevector(protocol, variant, bit, trent, walking, check) is expected
                 if isinstance(walking, _Uniforms):
                     assert len(walking.values) == len(sampling.values)
                 else:
                     assert walking.random() == sampling.random()
 
-    def test_warm_rounds_neither_sample_the_tree_nor_pick(self, monkeypatch):
+    def test_warm_rounds_neither_sample_the_schedule_nor_pick(self, monkeypatch):
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a warm round walked the TreeNode tree")
+            raise AssertionError("a warm round stepped the schedule")
 
-        monkeypatch.setattr(qsim, "sample_tree", refuse)
+        monkeypatch.setattr(qsim, "sample_schedule", refuse)
         monkeypatch.setattr(qsim._Born, "pick", refuse)
         generator = rng(1)
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
@@ -470,23 +474,23 @@ class TestRoundTree:
                 for _ in range(10):
                     run_round_statevector(protocol, variant, bit, TRENTS[name], generator, check)
 
-    def test_each_configuration_is_flattened_once(self, monkeypatch):
-        # the decode map, the table and both samplers read one flattening
-        flattened = []
-        tree_branches = qsim.tree_branches
-        monkeypatch.setattr(qsim, "tree_branches", lambda tree: flattened.append(tree) or tree_branches(tree))
-        for cache in (protocol_module._walked_tree, protocol_module._decode_map, protocol_module._model):
+    def test_each_configuration_is_enumerated_once(self, monkeypatch):
+        # the decode map, the table and both samplers read one enumeration
+        calls = []
+        schedule_branches = qsim.schedule_branches
+        monkeypatch.setattr(qsim, "schedule_branches", lambda *args: calls.append(args) or schedule_branches(*args))
+        for cache in (protocol_module._round_branches, protocol_module._decode_map, protocol_module._model):
             cache.cache_clear()
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             round_distribution(protocol, variant, bit, TRENTS[name])
             run_round(protocol, variant, bit, TRENTS[name], rng(0))
             run_round_statevector(protocol, variant, bit, TRENTS[name], rng(0))
-        # one flattening per (configuration, bit): sessions and runs add none
+        # one enumeration per (configuration, bit): sessions and runs add none
         plan = SessionPlan.build([0, 1] * 10, 0.5, rng(0))
         for protocol, variant, _, name in SAMPLER_CONFIGS:
             run_session(protocol, variant, plan, TRENTS[name], rng(0))
             run_experiment(RunConfig(protocol=protocol, variant=variant, trent=TRENTS[name], message_length=20))
-        assert len(flattened) == len({id(tree) for tree in flattened}) == len(SAMPLER_CONFIGS)
+        assert len(calls) == len(SAMPLER_CONFIGS)
 
     def test_an_all_zero_draw_lands_on_a_table_row(self):
         # 64 conditional probabilities of the 32 round trees are about

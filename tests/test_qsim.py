@@ -38,7 +38,7 @@ def born_probabilities(state, basis, qubits) -> dict:
     """Probability of every possible outcome of one measurement, from a
     one-step schedule."""
     step = (("measure", "m", basis, qubits),)
-    return {out["m"]: p for p, out, _ in qsim.tree_branches(qsim.schedule_tree(state, step))}
+    return {out["m"]: p for p, out in qsim.schedule_branches(state, step)[0]}
 
 
 @st.composite
@@ -390,32 +390,64 @@ class TestSchedules:
             assert outcomes == {"a": a, "r": r, "ab": ab, "t": t}
             assert np.array_equal(state.amplitudes, expected.amplitudes)
 
-    def test_tree_drops_impossible_outcomes_and_shares_random_subtrees(self):
+    def test_sampler_projects_once_per_measurement(self, monkeypatch):
+        # the sampler steps the primitives: it projects the state it
+        # measures, not every branch of the schedule
+        bases = []
+        original = qsim._project
+
+        def project(state, basis, qubits):
+            bases.append(basis)
+            return original(state, basis, qubits)
+
+        monkeypatch.setattr(qsim, "_project", project)
+        qsim.sample_schedule(make_ghz(), self.SCHEDULE, rng(0))
+        assert bases == ["z", "bell", "x"]
+
+    def test_table_drops_impossible_outcomes_and_splits_random_steps(self):
         steps = (("measure", "a", "z", (0,)), ("random", "r", ("p", "q")))
-        tree = qsim.schedule_tree(make_state([1, 0]), steps)
-        assert tree.born.probs == [1.0, 0.0] and tree.children[1] is None
-        random_step = tree.children[0]
-        assert random_step.children[0] is random_step.children[1]
-        assert not random_step.children[0].children
+        branches, table = qsim.schedule_branches(make_state([1, 0]), steps)
+        # Z of |0>: ONE (probability 0.0) has no child, so ZERO's fills the
+        # pad; the random step has one leaf per symbol
+        random_step = (None, 2, (0, 1))
+        assert table == ((1.0,), 1.0, (random_step, random_step))
         zero = ZOutcome.ZERO
-        assert qsim.tree_branches(tree) == [
-            (0.5, {"a": zero, "r": "p"}, (0, 0)),
-            (0.5, {"a": zero, "r": "q"}, (0, 1)),
+        assert branches == [(0.5, {"a": zero, "r": "p"}), (0.5, {"a": zero, "r": "q"})]
+
+    def test_table_pads_a_measurement_with_its_last_possible_child(self):
+        # X of |0>, then X again: the repeat has one possible outcome
+        steps = (("measure", "x", "x", (0,)), ("measure", "again", "x", (0,)))
+        branches, table = qsim.schedule_branches(make_state([1, 0]), steps)
+        cumulative, total, (plus, minus, pad) = table
+        assert cumulative == pytest.approx((0.5, 1.0)) and total == pytest.approx(1.0)
+        assert pad is minus and plus[2] == (0, 0) and minus[2] == (1, 1)
+        assert [out for _, out in branches] == [
+            {"x": XOutcome.PLUS, "again": XOutcome.PLUS},
+            {"x": XOutcome.MINUS, "again": XOutcome.MINUS},
         ]
 
     def test_enumeration_is_complete_and_matches_the_born_rule(self):
-        branches = qsim.tree_branches(qsim.schedule_tree(make_ghz(), self.SCHEDULE))
-        assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=ATOL)
+        branches, table = qsim.schedule_branches(make_ghz(), self.SCHEDULE)
+        assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=ATOL)
         # after H on A, the GHZ state gives either Z outcome of A w.p. 1/2
         for z in ZOutcome:
-            p_z = sum(p for p, out, _ in branches if out["a"] is z)
+            p_z = sum(p for p, out in branches if out["a"] is z)
             assert p_z == pytest.approx(0.5, abs=ATOL)
         # the random step splits every branch evenly
         for symbol in ("p", "q", "s"):
-            p_r = sum(p for p, out, _ in branches if out["r"] == symbol)
+            p_r = sum(p for p, out in branches if out["r"] == symbol)
             assert p_r == pytest.approx(1 / 3, abs=ATOL)
-        assert all(p > 1e-15 for p, _, _ in branches)
-        assert len({tuple(out.items()) for _, out, _ in branches}) == len(branches)
+        assert all(p > 1e-15 for p, _ in branches)
+        assert len({tuple(out.items()) for _, out in branches}) == len(branches)
+
+        # the table's leaves, pads left out, are the branches in order
+        def leaves(node):
+            if type(node) is not tuple:
+                return [node]
+            cumulative, _, kids = node
+            return [leaf for kid in kids[: None if cumulative is None else -1] for leaf in leaves(kid)]
+
+        assert leaves(table) == list(range(len(branches)))
 
 
 SCHEDULE_PIN_SEED = 5
