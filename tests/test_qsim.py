@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from qsdc import qsim
+from qsdc import adversary, protocol, qsim
 from qsdc.qsim import (
     ATOL,
     BellOutcome,
@@ -458,10 +458,6 @@ def _hex_line(values) -> str:
     return " ".join(f"{complex(v).real.hex()},{complex(v).imag.hex()}" for v in values)
 
 
-def _outcomes_line(outcomes: dict) -> str:
-    return " ".join(f"{role}={outcome}" for role, outcome in outcomes.items())
-
-
 def _digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -480,8 +476,6 @@ def schedule_digests() -> dict[str, str]:
 
     tests/data/schedule_digests.json is this function's output, written
     once and never regenerated."""
-    from qsdc import adversary, protocol
-
     trents = {
         "honest": adversary.TrentStrategy.honest(),
         "attack": adversary.TrentStrategy.attack(),
@@ -500,7 +494,7 @@ def schedule_digests() -> dict[str, str]:
     def sample_schedule(steps):
         def run(state, generator):
             outcomes, final = qsim.sample_schedule(state, steps, generator)
-            return _outcomes_line(outcomes), final
+            return " ".join(f"{role}={outcome}" for role, outcome in outcomes.items()), final
 
         return run
 
