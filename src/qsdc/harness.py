@@ -332,9 +332,16 @@ def verify_identities() -> list[tuple[str, float]]:
 
 def emit_tables() -> dict[tuple[ProtocolId, EncodingVariant], list]:
     """Exact honest-round correspondence tables for all four
-    (protocol, variant) pairs."""
+    (protocol, variant) pairs, read off `protocol.round_distribution`:
+    an (announcement, bob_measurement, bit, probability) row per branch,
+    that is, per outcome pair of nonzero probability."""
+    honest = TrentStrategy.honest()
     return {
-        (p, v): protocol.honest_correspondence_table(p, v)
+        (p, v): [
+            (b.trent_announcement, b.bob_measurement, bit, b.probability)
+            for bit in (0, 1)
+            for b in protocol.round_distribution(p, v, bit, honest)[1]
+        ]
         for p in ProtocolId
         for v in EncodingVariant
     }

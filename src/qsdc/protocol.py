@@ -11,15 +11,17 @@ trent)`, with Trent's steps from `adversary.trent_steps`; the rest is
 derived from it.  Per (protocol, variant, bit, strategy) one pass of
 `qsim.schedule_branches` lists the round's exact branches and builds
 their walk table, and both bits make one cached model per (protocol,
-variant, strategy): per bit the walk table and the branches with their
-cumulative probabilities (`round_distribution`); every transcript, four
-per branch (message or check round, decoded bit as measured or flipped
-by noise); and the outcome classes `harness.run_experiment` draws from.
-The samplers only draw a branch and pick its shared transcript by
-index: `run_round_statevector` walks the table (`qsim.walk`),
-`run_round` and `run_session` bisect the cumulative tables.  `decode`
-reads Bob's rule off the honest branches, whose rows
-`honest_correspondence_table` prints.
+variant, strategy): per bit the walk table, the branches and a
+one-level walk table over them, which holds their cumulative
+probabilities (`round_distribution`); every transcript, four per branch
+(message or check round, decoded bit as measured or flipped by noise);
+and the outcome classes `harness.run_experiment` draws from.  The
+samplers only draw a branch and pick its shared transcript by index:
+`run_round_statevector` walks the round's table and `run_round` the
+one-level one, both with `qsim.walk`; `run_session` indexes the
+one-level table's kids, as `qsim.walk` does, for all rounds at once.
+`decode` reads Bob's rule off the honest branches, whose rows
+`harness.emit_tables` prints.
 
 Two encoding variants exist.  Both map bit 0 to a Hadamard on Alice's
 qubit; the original maps bit 1 to X-then-Hadamard, the revised one to
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -223,7 +224,9 @@ class _Model(NamedTuple):
     exact branches of both bits; a "per bit" field is indexed by bit."""
 
     walks: tuple  # per bit: the round's walk table, whose leaves are branch indices
-    cumulative: tuple  # per bit: running sums of the branch probabilities
+    # per bit: the one-level walk table over the branches, (running sums of
+    # their probabilities, 1.0, branch indices padded with the last)
+    joint: tuple
     branches: tuple  # per bit: its RoundBranches, in `qsim.schedule_branches` order
     offset: tuple  # per bit: index of its first transcript
     # both bits' RoundTranscripts end to end in a read-only object array, each
@@ -241,7 +244,7 @@ class _Model(NamedTuple):
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
     raises unless each bit's branches sum to 1."""
-    walks, cumulative, branches, offset, transcripts = [], [], [], [], []
+    walks, joint, branches, offset, transcripts = [], [], [], [], []
     # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
@@ -273,7 +276,8 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"branch probabilities sum to {total}")
         walks.append(table)
-        cumulative.append(tuple(np.cumsum([b.probability for b in bit_branches])))
+        kids = tuple(range(len(bit_branches)))
+        joint.append((tuple(np.cumsum([b.probability for b in bit_branches])), 1.0, kids + kids[-1:]))
         branches.append(tuple(bit_branches))
     wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
     # the probabilities sum to 1 only up to rounding
@@ -284,7 +288,7 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         cells.append((tuple(label for _, label in members), p_cell / p_cell.sum()))
     return _Model(
         walks=tuple(walks),
-        cumulative=tuple(cumulative),
+        joint=tuple(joint),
         branches=tuple(branches),
         offset=tuple(offset),
         transcripts=qsim._read_only(np.array(transcripts, dtype=object)),
@@ -300,11 +304,11 @@ def round_distribution(
     leaf of the round's walk table.
 
     Branch probabilities sum to 1 up to float rounding; the cumulative
-    tuple supports bisection sampling.
+    tuple is the one `run_round` walks.
     """
     _check_bit(bit)
     model = _model(protocol, variant, trent)
-    return model.cumulative[bit], model.branches[bit]
+    return model.joint[bit][0], model.branches[bit]
 
 
 def run_round_statevector(
@@ -344,17 +348,17 @@ def run_round(
     """Execute one full round on a fresh GHZ triple.
 
     Samples the round's exact joint outcome distribution (see
-    `round_distribution`) with one `rng.random()` and returns the
-    branch's shared transcript, the one `run_round_statevector` returns
-    for it.  `run_round_statevector` walks the same branches with one
-    draw per measurement or random step instead: the two are
-    distributionally identical, and this one makes one draw instead of
-    two to four.
+    `round_distribution`) with one `rng.random()`, walking the one-level
+    table over its branches with `qsim.walk`, and returns the branch's
+    shared transcript, the one `run_round_statevector` returns for it.
+    `run_round_statevector` walks the same branches with one draw per
+    measurement or random step instead: the two are distributionally
+    identical, and this one makes one draw instead of two to four.
     `run_session` samples a whole session at a fraction of this cost.
     """
     _check_bit(bit)
     model = _model(protocol, variant, trent)
-    branch = min(bisect_right(model.cumulative[bit], rng.random()), len(model.branches[bit]) - 1)
+    branch = qsim.walk(model.joint[bit], rng)
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 
@@ -399,8 +403,9 @@ def run_session(
     index = 2 * plan.is_check + flipped
     for bit in (0, 1):
         rounds = plan.bits == bit
-        branch = np.searchsorted(model.cumulative[bit], uniforms[rounds], side="right")
-        index[rounds] += model.offset[bit] + 4 * np.minimum(branch, len(model.branches[bit]) - 1)
+        cumulative, _, kids = model.joint[bit]
+        branch = np.take(kids, np.searchsorted(cumulative, uniforms[rounds], side="right"))
+        index[rounds] += model.offset[bit] + 4 * branch
     transcripts = model.transcripts[index].tolist()
     error_rate = float(np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check))
     abort = bool(error_rate > abort_threshold)
@@ -412,21 +417,3 @@ def extract_message(transcripts: list[RoundTranscript], abort: bool) -> list[int
     if abort:
         return None
     return [t.decoded_bit for t in transcripts if not t.is_check_bit]
-
-
-def honest_correspondence_table(
-    protocol: ProtocolId, variant: EncodingVariant
-) -> list[tuple[object, object, int, float]]:
-    """Exact Born-probability rows of honest rounds, read off
-    `round_distribution`.
-
-    Returns (announcement, bob_measurement, bit, probability) rows for every
-    outcome pair with nonzero probability.  Raises if the induced decode map
-    is not single-valued.
-    """
-    honest = TrentStrategy.honest()
-    return [
-        (b.trent_announcement, b.bob_measurement, bit, b.probability)
-        for bit in (0, 1)
-        for b in round_distribution(protocol, variant, bit, honest)[1]
-    ]

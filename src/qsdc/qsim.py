@@ -18,17 +18,19 @@ and projects each measurement once per branch, in one recursive pass
 that lists every branch with its joint probability and builds the walk
 table of the same branches.  An outcome is possible only when its Born
 probability exceeds ATOL: smaller ones are rounding residue of exact
-zeros, so no branch has them and `measure_*` never returns them.  `walk`
-draws a branch from the table, one draw per measurement or random step;
-a measurement picks its outcome by the same rule as `measure_*`.
-`sample_schedule` runs a schedule step by step with the primitives,
-making the same draws.
+zeros, so no branch has them and `measure_*` never returns them.
+`walk` is the one rule that turns uniform draws into an outcome or a
+branch: `measure_*` walk the one-level node `_born` builds from a
+measurement's probabilities, and `schedule_branches` nests the same
+nodes into a schedule's table, one draw per measurement or random step.
+`sample_schedule` runs a schedule step by step, making the same draws.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import itertools
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,6 +119,8 @@ class StateVector:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
     def _check_qubit(self, qubit: int) -> None:
+        if not (type(qubit) is int or isinstance(qubit, numbers.Integral)):
+            raise ValueError(f"qubit must be an integer, got {qubit!r}")
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(
                 f"qubit index {qubit} out of range for {self.num_qubits}-qubit state"
@@ -149,6 +153,8 @@ def _gate_operator(num_qubits: int, gate: Gate, qubit: int) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
     """Apply a single-qubit gate on the given tensor factor."""
+    if not isinstance(gate, Gate):
+        raise ValueError(f"gate must be a Gate, got {gate!r}")
     state._check_qubit(qubit)
     n = state.num_qubits
     # Unitary application preserves the norm; skip re-validation.
@@ -162,15 +168,6 @@ def fidelity(a: StateVector, b: StateVector) -> float:
             f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
         )
     return float(np.abs(np.vdot(a.amplitudes, b.amplitudes)) ** 2)
-
-
-def _check_pair(state: StateVector, qubit_a: int, qubit_b: int) -> None:
-    if state.num_qubits < 2:
-        raise ValueError("Bell measurement needs at least 2 qubits")
-    state._check_qubit(qubit_a)
-    state._check_qubit(qubit_b)
-    if qubit_a == qubit_b:
-        raise ValueError(f"Bell measurement needs two distinct qubits, got {qubit_a} twice")
 
 
 def _fast_state(num_qubits: int, amplitudes: np.ndarray) -> StateVector:
@@ -232,55 +229,57 @@ def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     return probs, collapse
 
 
+def _measurement(state: StateVector, basis: str, qubits: tuple[int, ...]):
+    """`_project` after checking the measured qubits: one in range, or
+    for a Bell measurement two distinct ones."""
+    if basis == "bell" and state.num_qubits < 2:
+        raise ValueError("Bell measurement needs at least 2 qubits")
+    for qubit in qubits:
+        state._check_qubit(qubit)
+    if qubits[0] in qubits[1:]:
+        raise ValueError(f"Bell measurement needs two distinct qubits, got {qubits[0]} twice")
+    return _project(state, basis, qubits)
+
+
 def x_probabilities(state: StateVector, qubit: int) -> dict[XOutcome, float]:
-    state._check_qubit(qubit)
-    probs, _ = _project(state, "x", (qubit,))
+    probs, _ = _measurement(state, "x", (qubit,))
     return dict(zip(OUTCOMES["x"], map(float, probs)))
 
 
-class _Born:
-    """Born probabilities of one measurement, the outcomes it makes
-    possible and the rule that turns a uniform draw into one of them.
+def _born(probs: np.ndarray) -> tuple[tuple[float, ...], float, tuple[int, ...]]:
+    """The `walk` node of one measurement: (cumulative, total, kids),
+    kids the indices of its possible outcomes padded with the last one.
 
     An outcome is possible when its probability exceeds ATOL; below that
     it is rounding residue of an exact zero (about 1e-33 in the protocol
-    rounds) and never drawn.  A draw picks the first possible outcome
-    whose cumulative probability exceeds the draw times the total, the
-    last possible one when rounding leaves none."""
-
-    __slots__ = ("probs", "total", "support", "cumulative")
-
-    def __init__(self, probs: np.ndarray):
-        self.probs = probs.tolist()
-        self.total = float(probs.sum())
-        self.support = [i for i, p in enumerate(self.probs) if p > ATOL]
-        if not self.support:
-            raise ValueError("cannot measure a state with vanishing norm")
-        self.cumulative = list(itertools.accumulate(self.probs[i] for i in self.support))
-
-    def pick(self, u: float) -> int:
-        k = bisect.bisect_right(self.cumulative, u * self.total)
-        return self.support[min(k, len(self.support) - 1)]
+    rounds) and never drawn.  `walk` picks the first possible outcome
+    whose cumulative probability exceeds the draw times the total; the
+    pad is the last possible one, for a draw that rounding leaves past
+    every cumulative sum."""
+    weights = probs.tolist()
+    support = [i for i, p in enumerate(weights) if p > ATOL]
+    if not support:
+        raise ValueError("cannot measure a state with vanishing norm")
+    cumulative = tuple(itertools.accumulate(weights[i] for i in support))
+    return cumulative, float(probs.sum()), tuple(support + support[-1:])
 
 
 def _sample_projective(state, basis, qubits, rng):
     """Born-rule sampling over a complete projective family.  Only the
     sampled branch's post-state is materialized."""
-    probs, collapse = _project(state, basis, qubits)
-    idx = _Born(probs).pick(rng.random())
+    probs, collapse = _measurement(state, basis, qubits)
+    idx = walk(_born(probs), rng)
     return OUTCOMES[basis][idx], collapse(idx)
 
 
 def measure_z(state: StateVector, qubit: int, rng) -> tuple[ZOutcome, StateVector]:
     """Projective Z-basis measurement of one qubit; returns the outcome and
     the renormalized post-measurement state."""
-    state._check_qubit(qubit)
     return _sample_projective(state, "z", (qubit,), rng)
 
 
 def measure_x(state: StateVector, qubit: int, rng) -> tuple[XOutcome, StateVector]:
     """Projective measurement in the |+>/|-> basis."""
-    state._check_qubit(qubit)
     return _sample_projective(state, "x", (qubit,), rng)
 
 
@@ -288,7 +287,6 @@ def measure_bell(
     state: StateVector, qubit_a: int, qubit_b: int, rng
 ) -> tuple[BellOutcome, StateVector]:
     """Projective Bell-basis measurement of the ordered pair (qubit_a, qubit_b)."""
-    _check_pair(state, qubit_a, qubit_b)
     return _sample_projective(state, "bell", (qubit_a, qubit_b), rng)
 
 
@@ -304,10 +302,10 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
     `branches` holds (joint probability, outcomes by role) of every
     branch, ordered by the first step's outcome, then the second's, each
     in alphabet order.  `table` is the tree of the same branches as
-    nested tuples, read by `walk`: a measurement is (cumulative, total,
-    kids) of its `_Born`, kids in support order and padded with the last
-    one as `_Born.pick` clips; a random step is (None, n, kids); a leaf
-    is its branch's index in `branches`.
+    nested tuples, read by `walk`: a measurement is its `_born` node
+    with each outcome index replaced by the subtable of that outcome; a
+    random step is (None, n, kids); a leaf is its branch's index in
+    `branches`.
     """
     branches = []
 
@@ -320,17 +318,14 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
             return visit(apply_gate(state, step[1], step[2]), rest, probability, outcomes)
         if step[0] == "measure":
             _, role, basis, qubits = step
-            if basis == "bell":
-                _check_pair(state, *qubits)
-            else:
-                state._check_qubit(*qubits)
-            probs, collapse = _project(state, basis, qubits)
-            born = _Born(probs)
+            probs, collapse = _measurement(state, basis, qubits)
+            cumulative, total, picks = _born(probs)
+            weights = probs.tolist()
             kids = [
-                visit(collapse(i), rest, probability * born.probs[i], {**outcomes, role: OUTCOMES[basis][i]})
-                for i in born.support
+                visit(collapse(i), rest, probability * weights[i], {**outcomes, role: OUTCOMES[basis][i]})
+                for i in picks[:-1]
             ]
-            return tuple(born.cumulative), born.total, tuple(kids + kids[-1:])
+            return cumulative, total, tuple(kids + kids[-1:])
         _, role, alphabet = step
         kids = [visit(state, rest, probability / len(alphabet), {**outcomes, role: symbol}) for symbol in alphabet]
         return None, len(kids), tuple(kids)
@@ -340,9 +335,10 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
 
 
 def walk(table, rng) -> int:
-    """The index of one branch of a `schedule_branches` table, drawn from
-    `rng` in time order: one `rng.random()` per measurement, picked by
-    the rule of `measure_*`, one `rng.integers` per random step."""
+    """The leaf of a `schedule_branches` table or `_born` node drawn from
+    `rng` in time order: one `rng.random()` per measurement, which takes
+    the first kid whose cumulative probability exceeds the draw times the
+    total, one `rng.integers` per random step."""
     node = table
     while type(node) is tuple:
         cumulative, total, kids = node
@@ -354,17 +350,16 @@ def walk(table, rng) -> int:
 
 
 def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
-    """Run a step schedule (see `schedule_branches`) on `state` with the
-    primitives, drawing from `rng` as `walk` does: the outcomes by role
+    """Run a step schedule (see `schedule_branches`) on `state` one step
+    at a time, drawing from `rng` as `walk` does: the outcomes by role
     and the final state."""
-    measure = {"z": measure_z, "x": measure_x, "bell": measure_bell}
     outcomes = {}
     for step in schedule:
         if step[0] == "gate":
             state = apply_gate(state, step[1], step[2])
         elif step[0] == "measure":
             _, role, basis, qubits = step
-            outcomes[role], state = measure[basis](state, *qubits, rng)
+            outcomes[role], state = _sample_projective(state, basis, qubits, rng)
         else:
             _, role, alphabet = step
             outcomes[role] = alphabet[rng.integers(len(alphabet))]

@@ -12,11 +12,10 @@ import pytest
 
 import oracle
 from qsdc.adversary import TrentStrategy
-from qsdc.harness import RunConfig, run_experiment, verify_identities
+from qsdc.harness import RunConfig, emit_tables, run_experiment, verify_identities
 from qsdc.protocol import (
     EncodingVariant,
     ProtocolId,
-    honest_correspondence_table,
     round_distribution,
 )
 from qsdc.qsim import BellOutcome, XOutcome
@@ -68,7 +67,7 @@ def test_criterion_2_honest_correctness():
     # published revised-table rows, reproduced row for row
     p1_rows = {
         (ann, meas): bit
-        for ann, meas, bit, _ in honest_correspondence_table(P1, REVISED)
+        for ann, meas, bit, _ in emit_tables()[P1, REVISED]
     }
     expected_p1 = {
         (XOutcome.PLUS, BellOutcome.PHI_PLUS): 1,
@@ -84,7 +83,7 @@ def test_criterion_2_honest_correctness():
         failures.append("protocol 1 revised table")
     p2_rows = {
         (ann, meas): bit
-        for ann, meas, bit, _ in honest_correspondence_table(P2, REVISED)
+        for ann, meas, bit, _ in emit_tables()[P2, REVISED]
     }
     expected_p2 = {
         (BellOutcome.PHI_PLUS, XOutcome.PLUS): 1,

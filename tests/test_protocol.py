@@ -11,7 +11,7 @@ from fit import binomial_tails, chi2_critical
 from qsdc import adversary, qsim
 from qsdc import protocol as protocol_module
 from qsdc.adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
-from qsdc.harness import RunConfig, run_experiment
+from qsdc.harness import RunConfig, emit_tables, run_experiment
 from qsdc.protocol import (
     ENCODING_RULES,
     EncodingVariant,
@@ -22,7 +22,6 @@ from qsdc.protocol import (
     decode,
     encode_bit,
     extract_message,
-    honest_correspondence_table,
     round_distribution,
     run_round,
     run_round_statevector,
@@ -129,7 +128,7 @@ class TestDecodeTables:
         assert decode(P1, MINUS, PSI_P) == 1
 
     def test_decode_p1_original_rows(self):
-        rows = honest_correspondence_table(P1, ORIGINAL)
+        rows = emit_tables()[P1, ORIGINAL]
         mapping = {(ann, meas): bit for ann, meas, bit, _ in rows}
         assert mapping[(MINUS, PHI_P)] == 0
         assert mapping[(PLUS, PSI_P)] == 0
@@ -467,12 +466,34 @@ class TestRoundTree:
             raise AssertionError("a warm round stepped the schedule")
 
         monkeypatch.setattr(qsim, "sample_schedule", refuse)
-        monkeypatch.setattr(qsim._Born, "pick", refuse)
+        monkeypatch.setattr(qsim, "_born", refuse)
+        monkeypatch.setattr(qsim, "_project", refuse)
         generator = rng(1)
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             for check in (False, True):
                 for _ in range(10):
                     run_round_statevector(protocol, variant, bit, TRENTS[name], generator, check)
+
+    def test_every_sampler_draws_through_one_walk(self, monkeypatch):
+        # qsim.walk is the only rule that turns draws into an outcome or a branch
+        assert not hasattr(qsim, "_Born")
+        state, trent = make_ghz(), TRENTS["attack"]
+        samplers = {
+            "measure_z": lambda generator: qsim.measure_z(state, 0, generator),
+            "measure_x": lambda generator: qsim.measure_x(state, 1, generator),
+            "measure_bell": lambda generator: qsim.measure_bell(state, 0, 2, generator),
+            "run_round": lambda generator: run_round(P1, ORIGINAL, 1, trent, generator),
+            "run_round_statevector": lambda generator: run_round_statevector(P2, REVISED, 0, trent, generator),
+        }
+        for sample in samplers.values():
+            sample(rng(0))  # builds the models before counting
+        calls = []
+        walk = qsim.walk
+        monkeypatch.setattr(qsim, "walk", lambda table, generator: calls.append(table) or walk(table, generator))
+        for name, sample in samplers.items():
+            calls.clear()
+            sample(rng(1))
+            assert len(calls) == 1, name
 
     def test_each_configuration_is_enumerated_once(self, monkeypatch):
         # the decode map, the table and both samplers read one enumeration
@@ -530,7 +551,7 @@ class TestRoundTree:
 
 class TestCorrespondenceTables:
     def test_protocol1_revised_matches_published_rows(self):
-        rows = honest_correspondence_table(P1, REVISED)
+        rows = emit_tables()[P1, REVISED]
         mapping = {(ann, meas): bit for ann, meas, bit, _ in rows}
         assert mapping == {
             (PLUS, PHI_P): 1,
@@ -544,7 +565,7 @@ class TestCorrespondenceTables:
         }
 
     def test_protocol2_revised_matches_published_rows(self):
-        rows = honest_correspondence_table(P2, REVISED)
+        rows = emit_tables()[P2, REVISED]
         mapping = {(ann, meas): bit for ann, meas, bit, _ in rows}
         assert mapping == {
             (PHI_P, PLUS): 1,
@@ -559,7 +580,7 @@ class TestCorrespondenceTables:
 
     @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
     def test_uniform_outcome_marginals(self, protocol, variant):
-        rows = honest_correspondence_table(protocol, variant)
+        rows = emit_tables()[protocol, variant]
         assert len(rows) == 8  # 4 reachable pairs per bit
         for _, _, _, prob in rows:
             # 1/4 given the bit, i.e. 1/8 jointly with a uniform message bit
@@ -573,9 +594,17 @@ class TestCorrespondenceTables:
             for p in ann_marginal.values():
                 assert p == pytest.approx(1.0 / len(ann_marginal), abs=1e-9)
 
+    def test_probabilities_are_python_floats(self):
+        # a numpy scalar would print as np.float64(...) in the tables' repr
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            for branch in round_distribution(protocol, variant, bit, TRENTS[name])[1]:
+                assert type(branch.probability) is float
+        for rows in emit_tables().values():
+            assert all(type(probability) is float for _, _, _, probability in rows)
+
     @pytest.mark.parametrize("protocol", list(ProtocolId))
     def test_original_matches_oracle_decode(self, protocol):
-        rows = honest_correspondence_table(protocol, ORIGINAL)
+        rows = emit_tables()[protocol, ORIGINAL]
         for ann, meas, bit, _ in rows:
             assert decode(protocol, ann, meas) == bit
 

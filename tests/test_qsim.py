@@ -114,9 +114,30 @@ class TestStateVector:
 
 
 class TestApplyGate:
-    def test_out_of_range_qubit(self):
-        with pytest.raises(ValueError, match="out of range"):
-            apply_gate(make_ghz(), Gate.HADAMARD, 3)
+    @pytest.mark.parametrize("qubit", [3, -1, 1.5, 1.0, "0"])
+    def test_bad_qubit(self, qubit):
+        if type(qubit) is int:
+            message = f"qubit index {qubit} out of range"
+        else:
+            message = f"qubit must be an integer, got {qubit!r}"
+        ghz = make_ghz()
+        with pytest.raises(ValueError, match=message):
+            apply_gate(ghz, Gate.HADAMARD, qubit)
+        with pytest.raises(ValueError, match=message):
+            measure_z(ghz, qubit, rng())
+        with pytest.raises(ValueError, match=message):
+            measure_bell(ghz, qubit, 2, rng())
+
+    def test_bad_gate(self):
+        with pytest.raises(ValueError, match="gate must be a Gate, got 'Hadamard'"):
+            apply_gate(make_ghz(), "Hadamard", 0)
+
+    def test_bools_and_numpy_integers_are_qubits(self):
+        ghz = make_ghz()
+        expected = apply_gate(ghz, Gate.HADAMARD, 1).amplitudes
+        for qubit in (True, np.int64(1), np.uint8(1)):
+            assert np.array_equal(apply_gate(ghz, Gate.HADAMARD, qubit).amplitudes, expected)
+            assert measure_z(ghz, qubit, rng(5))[0] is measure_z(ghz, 1, rng(5))[0]
 
     @given(random_states())
     @settings(max_examples=50, deadline=None)
