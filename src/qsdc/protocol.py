@@ -91,10 +91,23 @@ class RoundTranscript:
             raise ValueError(f"{self.protocol} has Bob record {meas_type.__name__} outcomes")
 
 
+def _check_real(name: str, value: float) -> None:
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def check_rate(name: str, value: float) -> None:
+    """Raise ValueError unless `value` is a real number, not a bool, in [0, 1]; NaN fails."""
+    _check_real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0,1], got {value}")
+
+
 def check_round_count(message_length: int, check_fraction: float) -> int:
     """Check rounds for `message_length` message rounds: `check_fraction` of
     all rounds, rounded, at least one.  Raises ValueError unless 0 <
     check_fraction < 1 and the session has at most MAX_SESSION_ROUNDS."""
+    _check_real("check_fraction", check_fraction)
     if not 0.0 < check_fraction < 1.0:
         raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
     n_check = max(1, round(message_length * check_fraction / (1.0 - check_fraction)))
@@ -141,15 +154,16 @@ class SessionPlan:
         return cls(bits=bits, is_check=is_check)
 
 
-def _check_bit(bit: int) -> None:
+def _check_bit(bit: int) -> int:
     # the model's per-bit fields are pairs indexed by bit: -1 would read bit 1's
-    if not (type(bit) is int or isinstance(bit, numbers.Integral)) or bit not in (0, 1):
+    if not (type(bit) is int or isinstance(bit, (numbers.Integral, np.bool_))) or bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
+    return int(bit)
 
 
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
     """Apply Alice's gate sequence for the bit to qubit A."""
-    _check_bit(bit)
+    bit = _check_bit(bit)
     for gate in ENCODING_RULES[variant][bit]:
         state = qsim.apply_gate(state, gate, QUBIT_A)
     return state
@@ -306,7 +320,7 @@ def round_distribution(
     Branch probabilities sum to 1 up to float rounding; the cumulative
     tuple is the one `run_round` walks.
     """
-    _check_bit(bit)
+    bit = _check_bit(bit)
     model = _model(protocol, variant, trent)
     return model.joint[bit][0], model.branches[bit]
 
@@ -331,7 +345,7 @@ def run_round_statevector(
     `run_round` is checked against: the two differ only in how they
     draw the branch whose shared transcript they return.
     """
-    _check_bit(bit)
+    bit = _check_bit(bit)
     model = _model(protocol, variant, trent)
     branch = qsim.walk(model.walks[bit], rng)
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
@@ -356,7 +370,7 @@ def run_round(
     identical, and this one makes one draw instead of two to four.
     `run_session` samples a whole session at a fraction of this cost.
     """
-    _check_bit(bit)
+    bit = _check_bit(bit)
     model = _model(protocol, variant, trent)
     branch = qsim.walk(model.joint[bit], rng)
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
@@ -383,7 +397,7 @@ def run_session(
     its branch (message or check, each unflipped or flipped), the unflipped
     ones being those `run_round` returns, so a session builds none.
     A plan without check rounds is rejected, since it would pass
-    unchecked, and so is a rate outside [0, 1]: a NaN threshold too.
+    unchecked, and so is a rate `check_rate` rejects: a NaN or a bool too.
     """
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
@@ -391,9 +405,8 @@ def run_session(
         raise ValueError("session plan has no check rounds")
     if not ((plan.bits == 0) | (plan.bits == 1)).all():
         raise ValueError("session plan bits must be 0 or 1")
-    for name, rate in (("noise_probability", noise_probability), ("abort_threshold", abort_threshold)):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{name} must lie in [0,1], got {rate}")
+    check_rate("noise_probability", noise_probability)
+    check_rate("abort_threshold", abort_threshold)
 
     n = plan.bits.size
     uniforms = rng.random(n)

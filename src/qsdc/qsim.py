@@ -118,13 +118,14 @@ class StateVector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
 
-    def _check_qubit(self, qubit: int) -> None:
-        if not (type(qubit) is int or isinstance(qubit, numbers.Integral)):
+    def _check_qubit(self, qubit: int) -> int:
+        if not (type(qubit) is int or isinstance(qubit, (numbers.Integral, np.bool_))):
             raise ValueError(f"qubit must be an integer, got {qubit!r}")
         if not 0 <= qubit < self.num_qubits:
             raise ValueError(
                 f"qubit index {qubit} out of range for {self.num_qubits}-qubit state"
             )
+        return int(qubit)
 
 
 def make_state(amplitudes) -> StateVector:
@@ -155,7 +156,7 @@ def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
     """Apply a single-qubit gate on the given tensor factor."""
     if not isinstance(gate, Gate):
         raise ValueError(f"gate must be a Gate, got {gate!r}")
-    state._check_qubit(qubit)
+    qubit = state._check_qubit(qubit)
     n = state.num_qubits
     # Unitary application preserves the norm; skip re-validation.
     return _fast_state(n, _gate_operator(n, gate, qubit) @ state.amplitudes)
@@ -217,8 +218,15 @@ def _projectors(num_qubits: int, basis: str, qubits: tuple[int, ...]):
 
 def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     """Born probability of every outcome of measuring `qubits` in `basis`,
-    and a function from an outcome's index to its normalized post-state."""
+    and `collapse`, from an outcome's index to its normalized post-state;
+    raises ValueError unless each measured qubit is in range and, for a
+    Bell measurement, the state has at least 2 qubits and the two differ."""
     n = state.num_qubits
+    if basis == "bell" and n < 2:
+        raise ValueError("Bell measurement needs at least 2 qubits")
+    qubits = tuple([state._check_qubit(qubit) for qubit in qubits])
+    if qubits[0] in qubits[1:]:
+        raise ValueError(f"Bell measurement needs two distinct qubits, got {qubits[0]} twice")
     bras, kets = _projectors(n, basis, qubits)
     coeffs = bras @ state.amplitudes
     probs = np.einsum("ij,ij->i", coeffs, coeffs.conj()).real
@@ -229,20 +237,8 @@ def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     return probs, collapse
 
 
-def _measurement(state: StateVector, basis: str, qubits: tuple[int, ...]):
-    """`_project` after checking the measured qubits: one in range, or
-    for a Bell measurement two distinct ones."""
-    if basis == "bell" and state.num_qubits < 2:
-        raise ValueError("Bell measurement needs at least 2 qubits")
-    for qubit in qubits:
-        state._check_qubit(qubit)
-    if qubits[0] in qubits[1:]:
-        raise ValueError(f"Bell measurement needs two distinct qubits, got {qubits[0]} twice")
-    return _project(state, basis, qubits)
-
-
 def x_probabilities(state: StateVector, qubit: int) -> dict[XOutcome, float]:
-    probs, _ = _measurement(state, "x", (qubit,))
+    probs, _ = _project(state, "x", (qubit,))
     return dict(zip(OUTCOMES["x"], map(float, probs)))
 
 
@@ -267,7 +263,7 @@ def _born(probs: np.ndarray) -> tuple[tuple[float, ...], float, tuple[int, ...]]
 def _sample_projective(state, basis, qubits, rng):
     """Born-rule sampling over a complete projective family.  Only the
     sampled branch's post-state is materialized."""
-    probs, collapse = _measurement(state, basis, qubits)
+    probs, collapse = _project(state, basis, qubits)
     idx = walk(_born(probs), rng)
     return OUTCOMES[basis][idx], collapse(idx)
 
@@ -318,7 +314,7 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
             return visit(apply_gate(state, step[1], step[2]), rest, probability, outcomes)
         if step[0] == "measure":
             _, role, basis, qubits = step
-            probs, collapse = _measurement(state, basis, qubits)
+            probs, collapse = _project(state, basis, qubits)
             cumulative, total, picks = _born(probs)
             weights = probs.tolist()
             kids = [

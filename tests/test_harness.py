@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
+import pins
 from fit import binomial_fit, binomial_tails, chi2_critical
 from qsdc import cli, harness
 from qsdc.adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
@@ -437,7 +438,7 @@ class TestCsv:
             RunConfig(protocol=P2, message_length=100, seed=9, rounds_repeat=1000,
                       noise_probability=0.01)
         )
-        assert report.to_csv().encode() == pinned
+        assert report.to_csv().encode() == pinned, pins.versions()
 
 
 class TestSessionCounts:
@@ -549,7 +550,7 @@ class TestIdentitiesAndTables:
         # tests/data/tables.txt is `qsdc tables` output: render_tables()
         # plus print's newline
         pinned = (Path(__file__).parent / "data" / "tables.txt").read_bytes()
-        assert (render_tables() + "\n").encode() == pinned
+        assert (render_tables() + "\n").encode() == pinned, pins.versions()
 
     def test_render_tables_mentions_all_outcomes(self):
         text = render_tables()
@@ -594,12 +595,17 @@ def report_digests() -> dict[str, str]:
 
 
 class TestReportPins:
+    def test_pin_failures_name_the_pinning_and_running_versions(self):
+        message = pins.versions()
+        assert "numpy 2.4.6, Python 3.11.7" in message
+        assert f"running numpy {np.__version__}, Python " in message
+
     def test_every_configuration_matches_its_pinned_report_bytes(self):
         pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
         assert len(pinned) == 2 * 2 * 4 * 2 * 2 * 2
         digests = report_digests()
-        assert [key for key in pinned if digests[key] != pinned[key]] == []
-        assert digests == pinned
+        assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
+        assert digests == pinned, pins.versions()
 
 
 class TestBinomialInterval:
@@ -677,7 +683,8 @@ class TestCli:
         argv = ["run", *flags, "--variant", "original", "--bits", "997", "--repeat", "3",
                 "--noise", "0.05", "--seed", "9"]
         assert cli.main(argv) == 0
-        assert capsys.readouterr().out.encode() == (Path(__file__).parent / "data" / pinned).read_bytes()
+        expected = (Path(__file__).parent / "data" / pinned).read_bytes()
+        assert capsys.readouterr().out.encode() == expected, pins.versions()
 
     def test_run_without_flags_builds_the_default_config(self):
         args = cli.make_parser().parse_args(["run"])
@@ -726,6 +733,13 @@ class TestCli:
         config = tmp_path / "bad.cfg"
         config.write_text("qubits = 3\n")
         assert cli.main(["run", "--config", str(config)]) == 2
+
+    def test_config_line_without_equals_rejected(self, tmp_path, capsys):
+        config = tmp_path / "bare.cfg"
+        config.write_text("# setup\nseed = 1\nbits 100\n")
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {config}:3: expected 'key = value', got 'bits 100'")
 
     def test_duplicate_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "dup.cfg"

@@ -1,12 +1,15 @@
 import functools
 import hashlib
 import json
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
+import pins
 from fit import binomial_tails, chi2_critical
 from qsdc import adversary, qsim
 from qsdc import protocol as protocol_module
@@ -84,11 +87,16 @@ class TestEncoding:
 
 
 def test_numpy_integers_and_bools_are_bits():
+    # each entry point reads its tables with the int it returns: a numpy
+    # bool could not index the model's per-bit tuples
     honest = TrentStrategy.honest()
-    for bit in (np.int64(1), np.uint8(0), True, False):
+    for bit in (np.int64(1), np.uint8(0), True, False, np.True_, np.False_):
         for sampler in (run_round, run_round_statevector):
-            assert sampler(P1, REVISED, bit, honest, rng()).sent_bit == bit
+            t = sampler(P1, ORIGINAL, bit, honest, rng(3))
+            assert t.sent_bit == bit and t is sampler(P1, ORIGINAL, int(bit), honest, rng(3))
         assert round_distribution(P1, REVISED, bit, honest) == round_distribution(P1, REVISED, int(bit), honest)
+        encoded = encode_bit(ORIGINAL, bit, make_ghz()).amplitudes
+        assert np.array_equal(encoded, encode_bit(ORIGINAL, int(bit), make_ghz()).amplitudes)
 
 
 BAD_TRENTS = {
@@ -628,6 +636,12 @@ class TestSessionPlan:
         with pytest.raises(ValueError, match="check_fraction"):
             SessionPlan.build([0, 1], 1.5, rng())
 
+    @pytest.mark.parametrize("value", ["0.5", None, True], ids=repr)
+    def test_fraction_must_be_a_real_number(self, value):
+        # "0.5" and None used to raise a TypeError from a comparison
+        with pytest.raises(ValueError, match="^check_fraction must be a real number"):
+            SessionPlan.build([0, 1], value, rng())
+
     def test_session_round_cap(self):
         cap = protocol_module.MAX_SESSION_ROUNDS
         assert protocol_module.check_round_count(cap - 1, 1e-9) == 1
@@ -662,8 +676,8 @@ class TestSessionPlan:
     def test_fixed_seed_plan_is_pinned(self):
         # `run_session` transcripts and the harness depend on this stream
         plan = SessionPlan.build(np.array([1, 0, 1, 1, 0, 1]), 0.5, rng(1))
-        assert plan.bits.tolist() == [1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0]
-        assert np.flatnonzero(plan.is_check).tolist() == [2, 3, 5, 7, 9, 11]
+        assert plan.bits.tolist() == [1, 0, 0, 1, 1, 1, 1, 1, 0, 0, 1, 0], pins.versions()
+        assert np.flatnonzero(plan.is_check).tolist() == [2, 3, 5, 7, 9, 11], pins.versions()
         assert plan.bits.dtype == np.int8 and plan.is_check.dtype == bool
         assert not plan.bits.flags.writeable and not plan.is_check.flags.writeable
 
@@ -704,9 +718,11 @@ class TestRunSession:
             run_session(P1, REVISED, plan, TrentStrategy.honest(), rng())
 
     @pytest.mark.parametrize("name", ["noise_probability", "abort_threshold"])
-    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), "0.5", None, True])
     def test_rates_outside_the_unit_interval_rejected(self, name, value):
-        # a NaN threshold would pass every session, a NaN noise mean none
+        # a NaN threshold would pass every session, a NaN noise mean none; a
+        # noise rate of True flipped every decoded bit, and "0.5" or None
+        # raised a TypeError from a comparison
         plan = SessionPlan.build([0, 1] * 20, 0.5, rng())
         with pytest.raises(ValueError, match=name):
             run_session(P1, ORIGINAL, plan, TrentStrategy.attack(), rng(), **{name: value})
@@ -835,6 +851,82 @@ class _Uniforms:
         return min(int(self.values.pop(0) * n), n - 1)
 
 
+
+def walked_shares(walk, denominator: int) -> dict:
+    """The share of draw sequences that take `walk` to each leaf, when
+    every draw is one of the midpoints (k + 1/2)/denominator.
+
+    `walk(draws)` reads its draws from a `_Uniforms`, so a random step
+    takes the symbol the midpoint falls on.  The sequences are enumerated
+    depth first: a walk that runs out of draws is run again with each
+    midpoint appended, and a leaf reached with every draw used weighs
+    denominator^-(draws used)."""
+    midpoints = [(k + 0.5) / denominator for k in range(denominator)]
+    shares = Counter()
+    prefixes = [[]]
+    while prefixes:
+        prefix = prefixes.pop()
+        draws = _Uniforms(prefix)
+        try:
+            leaf = walk(draws)
+        except IndexError:  # out of draws; no round walks more than 4 deep
+            assert len(prefix) < 4, prefix
+            prefixes += [prefix + [u] for u in midpoints]
+            continue
+        assert draws.values == [], (prefix, leaf)
+        shares[leaf] += Fraction(1, denominator ** len(prefix))
+    return dict(shares)
+
+
+def snapped_probabilities(branches) -> dict[int, Fraction]:
+    """Each branch's probability, by index, as the multiple of 1/64 it is
+    up to rounding."""
+    exact = {i: Fraction(round(b.probability * 64), 64) for i, b in enumerate(branches)}
+    assert all(abs(b.probability - exact[i]) < 1e-12 for i, b in enumerate(branches))
+    return exact
+
+
+class TestExactDraws:
+    """How each sampler maps draws to branches, checked with no tolerance.
+    Every conditional probability in the rounds' walk tables is a multiple
+    of 1/4 and every branch probability one of 1/64, so the midpoint draws
+    (k + 1/2)/8 at each step, or (k + 1/2)/64 for a one-level table, take
+    each branch exactly its probability's share of the time, and none
+    lies near an interval's edge.  The chi-square tests still check how
+    the samplers use the generator's stream."""
+
+    def test_walk_tables_take_each_branch_for_its_share(self):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            model = protocol_module._model(protocol, variant, TRENTS[name])
+            shares = walked_shares(functools.partial(qsim.walk, model.walks[bit]), 8)
+            assert shares == snapped_probabilities(model.branches[bit]), (protocol, variant, bit, name)
+
+    def test_run_round_takes_each_branch_for_its_share(self):
+        for protocol, variant, bit, name in SAMPLER_CONFIGS:
+            trent = TRENTS[name]
+            _, branches = round_distribution(protocol, variant, bit, trent)
+            keys = [branch_key(b) for b in branches]
+            assert len(set(keys)) == len(keys)
+
+            def branch(draws):
+                return keys.index(branch_key(run_round(protocol, variant, bit, trent, draws)))
+
+            assert walked_shares(branch, 64) == snapped_probabilities(branches), (protocol, variant, bit, name)
+
+    @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
+    def test_run_session_takes_each_branch_for_its_share(self, protocol, variant):
+        # 64 rounds of each bit, fed the 64 midpoints in order
+        midpoints = [(k + 0.5) / 64 for k in range(64)]
+        plan = SessionPlan(bits=np.repeat(np.int8([0, 1]), 64), is_check=np.arange(128) % 64 == 0)
+        for name, trent in TRENTS.items():
+            transcripts, _, _ = run_session(protocol, variant, plan, trent, _Uniforms(midpoints * 2))
+            for bit in (0, 1):
+                _, branches = round_distribution(protocol, variant, bit, trent)
+                keys = [branch_key(b) for b in branches]
+                counts = Counter(keys.index(branch_key(t)) for t in transcripts[64 * bit : 64 * (bit + 1)])
+                shares = {i: Fraction(count, 64) for i, count in counts.items()}
+                assert shares == snapped_probabilities(branches), (name, bit)
+
 SESSION_FIT_CONFIGS = {
     "p2-revised-honest": (P2, REVISED, TrentStrategy.honest(), 0.05, 41),
     "p1-original-attack": (P1, ORIGINAL, TrentStrategy.attack(), 0.2, 42),
@@ -945,8 +1037,8 @@ def test_every_configuration_matches_its_pinned_round_digests():
     pinned = json.loads((Path(__file__).parent / "data" / "round_digests.json").read_text())
     assert len(pinned) == 2 * 2 * 4 * 3
     digests = round_digests()
-    assert [key for key in pinned if digests[key] != pinned[key]] == []
-    assert digests == pinned
+    assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
+    assert digests == pinned, pins.versions()
 
 
 class TestTranscriptValidation:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import pins
 from qsdc import adversary, protocol, qsim
 from qsdc.qsim import (
     ATOL,
@@ -102,6 +103,10 @@ class TestStateVector:
         with pytest.raises(ValueError, match="num_qubits"):
             StateVector(num_qubits=4, amplitudes=np.ones(16) / 4.0)
 
+    def test_rejects_amplitudes_of_another_qubit_count(self):
+        with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(8,\)$"):
+            StateVector(num_qubits=2, amplitudes=np.ones(8) / np.sqrt(8))
+
     def test_amplitudes_read_only(self):
         state = make_ghz()
         with pytest.raises(ValueError):
@@ -133,11 +138,15 @@ class TestApplyGate:
             apply_gate(make_ghz(), "Hadamard", 0)
 
     def test_bools_and_numpy_integers_are_qubits(self):
+        # each check returns the int it admits: a numpy bool would reach
+        # the cached matrices' axes
         ghz = make_ghz()
-        expected = apply_gate(ghz, Gate.HADAMARD, 1).amplitudes
-        for qubit in (True, np.int64(1), np.uint8(1)):
+        for qubit in (True, np.int64(1), np.uint8(1), np.True_, False, np.False_):
+            index = int(qubit)
+            expected = apply_gate(ghz, Gate.HADAMARD, index).amplitudes
             assert np.array_equal(apply_gate(ghz, Gate.HADAMARD, qubit).amplitudes, expected)
-            assert measure_z(ghz, qubit, rng(5))[0] is measure_z(ghz, 1, rng(5))[0]
+            assert measure_z(ghz, qubit, rng(5))[0] is measure_z(ghz, index, rng(5))[0]
+            assert measure_bell(ghz, qubit, 2, rng(5))[0] is measure_bell(ghz, index, 2, rng(5))[0]
 
     @given(random_states())
     @settings(max_examples=50, deadline=None)
@@ -545,5 +554,5 @@ def test_schedules_match_their_pinned_digests():
     pinned = json.loads((Path(__file__).parent / "data" / "schedule_digests.json").read_text())
     assert len(pinned) == 2 * 32 + 1 + 4 * 3
     digests = schedule_digests()
-    assert [key for key in pinned if digests[key] != pinned[key]] == []
-    assert digests == pinned
+    assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
+    assert digests == pinned, pins.versions()
