@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -78,13 +80,27 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+def _write_in_place(path: str, text: str) -> None:
+    """Write `text` over `path` without truncating it first.  Opening an
+    existing file with O_TRUNC makes ext4 (and XFS, btrfs) start writing
+    its blocks back on close; cutting the file at the written length
+    afterwards leaves the write delayed, as for a new file.  Not atomic:
+    a crash mid-write can leave old and new bytes mixed."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as out:
+        out.write(text.encode("utf-8"))
+        # a FIFO or a device such as /dev/null has no length to cut
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            out.truncate()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     report = harness.run_experiment(config)
     text = report.to_json() if config.output_format == "json" else report.to_csv()
     if args.out:
         try:
-            Path(args.out).write_text(text, encoding="utf-8")
+            _write_in_place(args.out, text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

@@ -64,6 +64,12 @@ class RunConfig:
             protocol.check_rate("noise_probability", self.noise_probability)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        # json serializes int and float only; a checked rate of another real
+        # type (np.float32, Fraction) is stored as its float
+        for name in ("check_fraction", "abort_threshold", "noise_probability"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)):
+                object.__setattr__(self, name, float(value))
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if type(self.rounds_repeat) is not int or not 1 <= self.rounds_repeat <= MAX_SESSIONS:

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,7 @@ from qsdc.protocol import (
 
 P1, P2 = ProtocolId.PROTOCOL_1, ProtocolId.PROTOCOL_2
 ORIGINAL, REVISED = EncodingVariant.ORIGINAL, EncodingVariant.REVISED
+DATA = Path(__file__).parent / "data"
 
 
 class TestRunConfig:
@@ -102,6 +105,25 @@ class TestRunConfig:
         assert type(config.seed) is int
         assert run_experiment(config).to_json() == run_experiment(plain).to_json()
         assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
+
+    @pytest.mark.parametrize("real", [np.float32, Fraction], ids=["float32", "Fraction"])
+    @pytest.mark.parametrize(
+        "name,rate",
+        [("check_fraction", 0.25), ("abort_threshold", 0.0625), ("noise_probability", 0.125)],
+    )
+    def test_other_real_rates_match_plain_floats(self, real, name, rate):
+        # the rates are exact in float32, so the plain config is the same one
+        base = dict(protocol=P2, variant=ORIGINAL, trent=TrentStrategy.attack(),
+                    message_length=50, seed=3, rounds_repeat=2)
+        plain = RunConfig(**base, **{name: rate})
+        config = RunConfig(**base, **{name: real(rate)})
+        assert type(getattr(config, name)) is float
+        assert run_experiment(config).to_json() == run_experiment(plain).to_json()
+        assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
+
+    def test_integer_rate_keeps_its_bytes(self):
+        report = json.loads(run_experiment(RunConfig(message_length=10, noise_probability=0)).to_json())
+        assert type(report["config"]["noise_probability"]) is int
 
 
 class TestRunExperiment:
@@ -433,7 +455,7 @@ class TestCsv:
         # tests/data/run_p2_many_sessions.csv is the output of `qsdc run
         # --protocol 2 --bits 100 --repeat 1000 --noise 0.01 --seed 9
         # --format csv`: 1000 session rows with only 7 distinct cell sets
-        pinned = (Path(__file__).parent / "data" / "run_p2_many_sessions.csv").read_bytes()
+        pinned = (DATA / "run_p2_many_sessions.csv").read_bytes()
         report = run_experiment(
             RunConfig(protocol=P2, message_length=100, seed=9, rounds_repeat=1000,
                       noise_probability=0.01)
@@ -549,7 +571,7 @@ class TestIdentitiesAndTables:
     def test_render_tables_matches_the_pinned_output(self):
         # tests/data/tables.txt is `qsdc tables` output: render_tables()
         # plus print's newline
-        pinned = (Path(__file__).parent / "data" / "tables.txt").read_bytes()
+        pinned = (DATA / "tables.txt").read_bytes()
         assert (render_tables() + "\n").encode() == pinned, pins.versions()
 
     def test_render_tables_mentions_all_outcomes(self):
@@ -601,7 +623,7 @@ class TestReportPins:
         assert f"running numpy {np.__version__}, Python " in message
 
     def test_every_configuration_matches_its_pinned_report_bytes(self):
-        pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
+        pinned = json.loads((DATA / "report_digests.json").read_text())
         assert len(pinned) == 2 * 2 * 4 * 2 * 2 * 2
         digests = report_digests()
         assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
@@ -636,6 +658,11 @@ class TestBinomialInterval:
 
 
 class TestCli:
+    # the `qsdc run` arguments that print tests/data/run_p2_original_honest.csv
+    HONEST_P2_CSV = ["run", "--protocol", "2", "--variant", "original", "--trent", "honest",
+                     "--bits", "997", "--repeat", "3", "--noise", "0.05", "--seed", "9",
+                     "--format", "csv"]
+
     def test_run_json_to_stdout(self, capsys):
         status = cli.main(
             ["run", "--protocol", "1", "--variant", "revised", "--trent", "honest",
@@ -683,7 +710,7 @@ class TestCli:
         argv = ["run", *flags, "--variant", "original", "--bits", "997", "--repeat", "3",
                 "--noise", "0.05", "--seed", "9"]
         assert cli.main(argv) == 0
-        expected = (Path(__file__).parent / "data" / pinned).read_bytes()
+        expected = (DATA / pinned).read_bytes()
         assert capsys.readouterr().out.encode() == expected, pins.versions()
 
     def test_run_without_flags_builds_the_default_config(self):
@@ -764,6 +791,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
         assert not out.exists()
+
+    def test_overwrite_keeps_the_file_and_drops_its_old_tail(self, tmp_path):
+        # the 1000-session CSV, then the 3-session one over it
+        out = tmp_path / "report.csv"
+        long_run = ["run", "--protocol", "2", "--bits", "100", "--repeat", "1000", "--noise", "0.01",
+                    "--seed", "9", "--format", "csv", "--out", str(out)]
+        assert cli.main(long_run) == 0
+        assert out.read_bytes() == (DATA / "run_p2_many_sessions.csv").read_bytes()
+        out.chmod(0o600)
+        inode = out.stat().st_ino
+        assert cli.main([*self.HONEST_P2_CSV, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "run_p2_original_honest.csv").read_bytes()
+        assert out.stat().st_ino == inode
+        assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_symlinked_out_is_written_through(self, tmp_path):
+        target, link = tmp_path / "report.csv", tmp_path / "link.csv"
+        target.write_text("old report\n" * 1000)
+        link.symlink_to(target.name)
+        assert cli.main([*self.HONEST_P2_CSV, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == (DATA / "run_p2_original_honest.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"no {os.devnull}")
+    def test_out_to_the_null_device(self, capsys):
+        assert cli.main([*self.HONEST_P2_CSV, "--out", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_verify_subcommand(self, capsys):
         assert cli.main(["verify"]) == 0
