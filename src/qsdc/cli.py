@@ -84,14 +84,26 @@ def _write_in_place(path: str, text: str) -> None:
     """Write `text` over `path` without truncating it first.  Opening an
     existing file with O_TRUNC makes ext4 (and XFS, btrfs) start writing
     its blocks back on close; cutting the file at the written length
-    afterwards leaves the write delayed, as for a new file.  Not atomic:
-    a crash mid-write can leave old and new bytes mixed."""
+    afterwards leaves the write delayed, as for a new file.  A failed
+    write empties the file, so no old tail follows the new bytes.  Not
+    atomic: after a crash the file can hold old bytes, new bytes or both."""
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as out:
-        out.write(text.encode("utf-8"))
+    try:
         # a FIFO or a device such as /dev/null has no length to cut
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            out.truncate()
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+        if regular:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def cmd_run(args: argparse.Namespace) -> int:

@@ -65,11 +65,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         # json serializes int and float only; a checked rate of another real
-        # type (np.float32, Fraction) is stored as its float
+        # type (np.int64, np.float32, Fraction) is stored as its int or float
         for name in ("check_fraction", "abort_threshold", "noise_probability"):
             value = getattr(self, name)
-            if not isinstance(value, (int, float)):
-                object.__setattr__(self, name, float(value))
+            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+            object.__setattr__(self, name, value)
         if type(self.seed) is not int or not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if type(self.rounds_repeat) is not int or not 1 <= self.rounds_repeat <= MAX_SESSIONS:

@@ -48,16 +48,10 @@ class ProtocolId(Enum):
     PROTOCOL_1 = 1
     PROTOCOL_2 = 2
 
-    # Members are singletons compared by identity; Enum.__hash__ is a
-    # Python-level call that every cached-model lookup would pay.
-    __hash__ = object.__hash__
-
 
 class EncodingVariant(Enum):
     ORIGINAL = "original"
     REVISED = "revised"
-
-    __hash__ = object.__hash__  # as ProtocolId
 
 
 # bit -> ordered gate list on qubit A (applied left to right; Pauli first).

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -121,9 +122,13 @@ class TestRunConfig:
         assert run_experiment(config).to_json() == run_experiment(plain).to_json()
         assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
 
-    def test_integer_rate_keeps_its_bytes(self):
-        report = json.loads(run_experiment(RunConfig(message_length=10, noise_probability=0)).to_json())
-        assert type(report["config"]["noise_probability"]) is int
+    @pytest.mark.parametrize("zero", [0, np.int64(0)], ids=["int", "int64"])
+    def test_integer_rate_keeps_its_bytes(self, zero):
+        config = RunConfig(message_length=10, noise_probability=zero)
+        assert type(config.noise_probability) is int
+        plain = run_experiment(RunConfig(message_length=10, noise_probability=0))
+        assert run_experiment(config).to_json() == plain.to_json()
+        assert type(json.loads(plain.to_json())["config"]["noise_probability"]) is int
 
 
 class TestRunExperiment:
@@ -455,7 +460,7 @@ class TestCsv:
         # tests/data/run_p2_many_sessions.csv is the output of `qsdc run
         # --protocol 2 --bits 100 --repeat 1000 --noise 0.01 --seed 9
         # --format csv`: 1000 session rows with only 7 distinct cell sets
-        pinned = (DATA / "run_p2_many_sessions.csv").read_bytes()
+        pinned = (Path(__file__).parent / "data" / "run_p2_many_sessions.csv").read_bytes()
         report = run_experiment(
             RunConfig(protocol=P2, message_length=100, seed=9, rounds_repeat=1000,
                       noise_probability=0.01)
@@ -571,7 +576,7 @@ class TestIdentitiesAndTables:
     def test_render_tables_matches_the_pinned_output(self):
         # tests/data/tables.txt is `qsdc tables` output: render_tables()
         # plus print's newline
-        pinned = (DATA / "tables.txt").read_bytes()
+        pinned = (Path(__file__).parent / "data" / "tables.txt").read_bytes()
         assert (render_tables() + "\n").encode() == pinned, pins.versions()
 
     def test_render_tables_mentions_all_outcomes(self):
@@ -623,7 +628,7 @@ class TestReportPins:
         assert f"running numpy {np.__version__}, Python " in message
 
     def test_every_configuration_matches_its_pinned_report_bytes(self):
-        pinned = json.loads((DATA / "report_digests.json").read_text())
+        pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
         assert len(pinned) == 2 * 2 * 4 * 2 * 2 * 2
         digests = report_digests()
         assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
@@ -710,7 +715,7 @@ class TestCli:
         argv = ["run", *flags, "--variant", "original", "--bits", "997", "--repeat", "3",
                 "--noise", "0.05", "--seed", "9"]
         assert cli.main(argv) == 0
-        expected = (DATA / pinned).read_bytes()
+        expected = (Path(__file__).parent / "data" / pinned).read_bytes()
         assert capsys.readouterr().out.encode() == expected, pins.versions()
 
     def test_run_without_flags_builds_the_default_config(self):
@@ -805,6 +810,26 @@ class TestCli:
         assert out.read_bytes() == (DATA / "run_p2_original_honest.csv").read_bytes()
         assert out.stat().st_ino == inode
         assert out.stat().st_mode & 0o777 == 0o600
+
+    def test_failed_overwrite_leaves_no_old_tail(self, tmp_path, monkeypatch, capsys):
+        # the disk fills after the first 100 bytes of the new report
+        out = tmp_path / "report.csv"
+        out.write_text("old report\n" * 1000)
+        real_write = os.write
+        calls = []
+
+        def write_then_fail(fd, data):
+            calls.append(fd)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[:100])
+
+        monkeypatch.setattr(os, "write", write_then_fail)
+        status = cli.main([*self.HONEST_P2_CSV, "--out", str(out)])
+        monkeypatch.undo()
+        assert status == 1 and len(calls) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 28]")
+        assert out.read_bytes() == b""
 
     def test_symlinked_out_is_written_through(self, tmp_path):
         target, link = tmp_path / "report.csv", tmp_path / "link.csv"
