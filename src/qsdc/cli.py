@@ -64,7 +64,7 @@ def load_config_file(path: str) -> dict[str, str]:
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Flags override the config file; an option set by neither keeps
     RunConfig's default."""
-    values = load_config_file(args.config) if args.config else {}
+    values = load_config_file(args.config) if args.config is not None else {}
     for key, flag in vars(args).items():
         if key in _RUN_OPTIONS and flag is not None:
             values[key] = flag
@@ -110,7 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = build_run_config(args)
     report = harness.run_experiment(config)
     text = report.to_json() if config.output_format == "json" else report.to_csv()
-    if args.out:
+    if args.out is not None:
         try:
             _write_in_place(args.out, text)
         except OSError as exc:
@@ -167,10 +167,19 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`qsdc run | head`): point it at the null
+        # device, so the interpreter's own flush at exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status
 
 
 if __name__ == "__main__":

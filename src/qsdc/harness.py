@@ -334,7 +334,7 @@ def emit_tables() -> dict[tuple[ProtocolId, EncodingVariant], list]:
     honest = TrentStrategy.honest()
     return {
         (p, v): [
-            (b.trent_announcement, b.bob_measurement, bit, b.probability)
+            (b.transcript.trent_announcement, b.transcript.bob_measurement, bit, b.probability)
             for bit in (0, 1)
             for b in protocol.round_distribution(p, v, bit, honest)[1]
         ]

@@ -223,14 +223,12 @@ def decode(protocol: ProtocolId, announcement, measurement) -> int:
 
 @dataclass(frozen=True)
 class RoundBranch:
-    """One measurement branch of a round, with its exact Born probability."""
+    """One measurement branch of a round: its exact Born probability and
+    its message-round transcript, the one `run_round` and
+    `run_round_statevector` return for it."""
 
     probability: float
-    trent_announcement: XOutcome | BellOutcome
-    bob_measurement: BellOutcome | XOutcome
-    decoded_bit: int
-    adversary_guess: int | None
-    adversary_raw: tuple[ZOutcome, ZOutcome] | None
+    transcript: RoundTranscript
 
 
 class _Model(NamedTuple):
@@ -270,21 +268,18 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
             announcement, measurement = outcomes["trent"], outcomes["bob"]
             record = adversary.attack_record(outcomes)
             decoded = decode(protocol, announcement, measurement)
-            fields = dict(
-                trent_announcement=announcement,
-                bob_measurement=measurement,
-                adversary_guess=None if record is None else record.guessed_bit,
-                adversary_raw=None if record is None else (record.z_outcome_a, record.z_outcome_t),
-            )
-            bit_branches.append(RoundBranch(probability=p, decoded_bit=decoded, **fields))
+            guess = None if record is None else record.guessed_bit
+            raw = None if record is None else (record.z_outcome_a, record.z_outcome_t)
             transcripts += [
                 RoundTranscript(protocol=protocol, variant=variant, sent_bit=bit, is_check_bit=check,
-                                decoded_bit=decoded ^ flip, **fields)
+                                trent_announcement=announcement, bob_measurement=measurement,
+                                decoded_bit=decoded ^ flip, adversary_guess=guess, adversary_raw=raw)
                 for check in (False, True)
                 for flip in (0, 1)
             ]
+            bit_branches.append(RoundBranch(probability=p, transcript=transcripts[-4]))
             z_equal = record is not None and record.z_outcome_a == record.z_outcome_t
-            key = (decoded != bit, fields["adversary_guess"] == bit, z_equal)
+            key = (decoded != bit, guess == bit, z_equal)
             classes.setdefault(key, []).append((0.5 * p, f"{announcement.name}/{measurement.name}"))
         total = sum(b.probability for b in bit_branches)
         if abs(total - 1.0) > 1e-9:

@@ -94,9 +94,10 @@ X_VECTORS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over 1-3 qubits."""
+    """Normalized complex amplitudes over 1-3 qubits, copied on construction.
+    A state equals and hashes as itself only: compare states by `fidelity`."""
 
     num_qubits: int
     amplitudes: np.ndarray
@@ -104,7 +105,7 @@ class StateVector:
     def __post_init__(self):
         if self.num_qubits not in (1, 2, 3):
             raise ValueError(f"num_qubits must be 1, 2 or 3, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"

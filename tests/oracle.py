@@ -96,8 +96,12 @@ def decode_p2(trent_bell: str, bob_x: str) -> int:
     return 0 if bob_x == "+" else 1
 
 
-def _measure_chain(psi: np.ndarray, projector_families: list[dict]) -> list[tuple[tuple, float]]:
-    """All joint outcomes of a chain of projective measurements."""
+def measure_chain(psi: np.ndarray, families: list[dict]) -> list[tuple[tuple, float]]:
+    """All joint outcomes of a chain of operator families, with their
+    probabilities.  A family maps each outcome to an operator K, taken
+    with probability |K psi|^2: a projective measurement's projectors, a
+    gate's one unitary (`gate_family`) or a uniformly random symbol's
+    scaled identities (`random_family`)."""
     results = []
 
     def recurse(state, prob, outcomes, remaining):
@@ -107,27 +111,36 @@ def _measure_chain(psi: np.ndarray, projector_families: list[dict]) -> list[tupl
             results.append((tuple(outcomes), prob))
             return
         family, rest = remaining[0], remaining[1:]
-        for name, projector in family.items():
-            branch = projector @ state
+        for name, operator in family.items():
+            branch = operator @ state
             p = float(np.vdot(branch, branch).real)
             if p < 1e-15:
                 continue
             recurse(branch / np.sqrt(p), prob * p, outcomes + [name], rest)
 
-    recurse(psi, 1.0, [], projector_families)
+    recurse(psi, 1.0, [], families)
     return results
 
 
-def _bell_family(qubits):
+def bell_family(qubits):
     return {name: bell_projector(name, qubits) for name in BELL}
 
 
-def _x_family(qubit):
+def x_family(qubit):
     return {name: single_projector(vec, qubit) for name, vec in KET_X.items()}
 
 
-def _z_family(qubit):
+def z_family(qubit):
     return {name: single_projector(KET[bit], qubit) for name, bit in (("0", 0), ("1", 1))}
+
+
+def gate_family(matrix, qubit):
+    return {"gate": op_on(matrix, qubit)}
+
+
+def random_family(symbols):
+    symbols = list(symbols)
+    return {symbol: np.eye(8, dtype=complex) / np.sqrt(len(symbols)) for symbol in symbols}
 
 
 def honest_round(protocol: int, variant: str, bit: int):
@@ -135,10 +148,10 @@ def honest_round(protocol: int, variant: str, bit: int):
     psi = encode(variant, bit)
     rows = []
     if protocol == 1:
-        for (bell, x), p in _measure_chain(psi, [_bell_family((0, 2)), _x_family(1)]):
+        for (bell, x), p in measure_chain(psi, [bell_family((0, 2)), x_family(1)]):
             rows.append((x, bell, decode_p1(x, bell), p))
     else:
-        for (bell, x), p in _measure_chain(psi, [_bell_family((0, 1)), _x_family(2)]):
+        for (bell, x), p in measure_chain(psi, [bell_family((0, 1)), x_family(2)]):
             rows.append((bell, x, decode_p2(bell, x), p))
     return rows
 
@@ -160,13 +173,13 @@ def attacked_round(protocol: int, variant: str, bit: int):
     psi = op_on(H, 0) @ encode(variant, bit)
     rows = []
     if protocol == 1:
-        chain = [_z_family(0), _z_family(1), _bell_family((0, 2)), _x_family(1)]
-        for (za, zt, bell, x), p in _measure_chain(psi, chain):
+        chain = [z_family(0), z_family(1), bell_family((0, 2)), x_family(1)]
+        for (za, zt, bell, x), p in measure_chain(psi, chain):
             guess = 0 if za == zt else 1
             rows.append((za, zt, guess, x, bell, decode_p1(x, bell), p))
     else:
-        chain = [_z_family(0), _z_family(1), _x_family(2)]
-        for (za, zt, x), p in _measure_chain(psi, chain):
+        chain = [z_family(0), z_family(1), x_family(2)]
+        for (za, zt, x), p in measure_chain(psi, chain):
             guess = 0 if za == zt else 1
             for bell in BELL:  # uniform random announcement
                 rows.append((za, zt, guess, bell, x, decode_p2(bell, x), p * 0.25))

@@ -60,7 +60,7 @@ def test_criterion_2_honest_correctness():
         # exact enumeration: P(correct) = 1 per bit
         for bit in (0, 1):
             _, branches = round_distribution(protocol, variant, bit, TrentStrategy.honest())
-            p_correct = sum(b.probability for b in branches if b.decoded_bit == bit)
+            p_correct = sum(b.probability for b in branches if b.transcript.decoded_bit == bit)
             if abs(p_correct - 1.0) > 1e-9:
                 failures.append(f"{protocol.name}/{variant.name} exact bit {bit}")
 

@@ -5,6 +5,8 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,16 +28,27 @@ from qsdc.harness import (
     verify_identities,
 )
 from qsdc.protocol import (
+    ENCODING_RULES,
     EncodingVariant,
     ProtocolId,
     SessionPlan,
     check_round_count,
     round_distribution,
 )
+from qsdc.qsim import Gate
 
 P1, P2 = ProtocolId.PROTOCOL_1, ProtocolId.PROTOCOL_2
 ORIGINAL, REVISED = EncodingVariant.ORIGINAL, EncodingVariant.REVISED
 DATA = Path(__file__).parent / "data"
+
+
+def run_qsdc(argv, **kwargs) -> subprocess.CompletedProcess:
+    """`qsdc argv` in a fresh interpreter that imports this checkout's
+    package; its stderr is captured as text."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qsdc.cli", *argv], env=env, stderr=subprocess.PIPE,
+                          text=True, timeout=60, **kwargs)
 
 
 class TestRunConfig:
@@ -341,7 +354,7 @@ def label_probabilities(config: RunConfig) -> dict[str, float]:
     for bit in (0, 1):
         _, branches = round_distribution(config.protocol, config.variant, bit, config.trent)
         for b in branches:
-            label = f"{b.trent_announcement.name}/{b.bob_measurement.name}"
+            label = f"{b.transcript.trent_announcement.name}/{b.transcript.bob_measurement.name}"
             probabilities[label] = probabilities.get(label, 0.0) + 0.5 * b.probability
     return probabilities
 
@@ -353,7 +366,7 @@ def check_error_probability(config: RunConfig) -> float:
         0.5 * b.probability
         for bit in (0, 1)
         for b in round_distribution(config.protocol, config.variant, bit, config.trent)[1]
-        if b.decoded_bit != bit
+        if b.transcript.decoded_bit != bit
     )
     q = config.noise_probability
     return wrong * (1 - q) + (1 - wrong) * q
@@ -853,3 +866,36 @@ class TestCli:
     def test_tables_subcommand(self, capsys):
         assert cli.main(["tables"]) == 0
         assert "protocol 1, revised encoding" in capsys.readouterr().out
+
+    def test_verify_fails_under_a_wrong_encoding(self, monkeypatch, capsys):
+        # revised bit 1 as X-then-H breaks the revised bit-1 identities
+        monkeypatch.setitem(ENCODING_RULES[REVISED], 1, (Gate.PAULI_X, Gate.HADAMARD))
+        assert cli.main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 4 and out.count("ok") == 12
+
+    def test_tables_exit_cleanly_when_the_decode_map_is_not_single_valued(self, encoding_rules, capsys):
+        encoding_rules((Gate.HADAMARD,), (Gate.HADAMARD,))
+        assert cli.main(["tables"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: decode map not single-valued")
+
+    def test_a_closed_stdout_ends_the_run_without_a_traceback(self):
+        # as in `qsdc run ... | true`: the reader is gone before the first write
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = run_qsdc(self.HONEST_P2_CSV, stdout=write)
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (1, "")
+
+    def test_an_empty_out_path_is_an_error_not_stdout(self):
+        result = run_qsdc([*self.HONEST_P2_CSV, "--out", ""], stdout=subprocess.PIPE)
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr.startswith("error: ")
+
+    def test_an_empty_config_path_is_read_not_ignored(self):
+        result = run_qsdc(["run", "--bits", "20", "--config", ""], stdout=subprocess.PIPE)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("configuration error: cannot read config file")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 import pins
@@ -159,24 +162,6 @@ class TestDecodeTables:
                 assert decode(P1, x, bell) in (0, 1)
                 assert decode(P2, bell, x) in (0, 1)
 
-    @pytest.fixture
-    def encoding_rules(self, monkeypatch):
-        """Install other encoding rules for both variants, clearing the
-        decode-map, branch and model caches around the swap."""
-
-        def clear():
-            protocol_module._decode_map.cache_clear()
-            protocol_module._round_branches.cache_clear()
-            protocol_module._model.cache_clear()
-
-        def install(bit0, bit1):
-            rules = {variant: {0: bit0, 1: bit1} for variant in EncodingVariant}
-            monkeypatch.setattr(protocol_module, "ENCODING_RULES", rules)
-            clear()
-
-        yield install
-        clear()
-
     def test_rejects_a_map_that_is_not_single_valued(self, encoding_rules):
         encoding_rules((Gate.HADAMARD,), (Gate.HADAMARD,))
         with pytest.raises(ValueError, match="not single-valued"):
@@ -225,7 +210,7 @@ class TestHonestRounds:
             _, branches = round_distribution(
                 protocol, variant, bit, TrentStrategy.honest()
             )
-            correct = sum(b.probability for b in branches if b.decoded_bit == bit)
+            correct = sum(b.probability for b in branches if b.transcript.decoded_bit == bit)
             assert correct == pytest.approx(1.0, abs=1e-9)
 
 
@@ -238,9 +223,8 @@ class TestRoundDistribution:
             )
             got = {}
             for b in branches:
-                got[(b.trent_announcement, b.bob_measurement)] = (
-                    got.get((b.trent_announcement, b.bob_measurement), 0.0) + b.probability
-                )
+                key = (b.transcript.trent_announcement, b.transcript.bob_measurement)
+                got[key] = got.get(key, 0.0) + b.probability
             expected = {}
             for ann, meas, _, p in oracle.honest_round(protocol.value, variant.value, bit):
                 if protocol is P1:
@@ -260,12 +244,8 @@ class TestRoundDistribution:
             )
             got = {}
             for b in branches:
-                key = (
-                    b.adversary_raw,
-                    b.adversary_guess,
-                    b.trent_announcement,
-                    b.bob_measurement,
-                )
+                t = b.transcript
+                key = (t.adversary_raw, t.adversary_guess, t.trent_announcement, t.bob_measurement)
                 got[key] = got.get(key, 0.0) + b.probability
             expected = {}
             for za, zt, guess, ann, meas, _, p in oracle.attacked_round(
@@ -322,24 +302,15 @@ DRAWS = 480  # every branch has probability >= 1/16: >= 30 expected counts
 def chi2_statistic(config_index: int, sampler: str) -> tuple[float, int]:
     """Pearson statistic and degrees of freedom of DRAWS fixed-seed rounds
     of one sampler against the branch probabilities of
-    `round_distribution`.  Asserts that every sampled outcome is a branch
-    and carries that branch's decoded bit and guess."""
+    `round_distribution`.  Asserts that every sampled round is the
+    transcript of a branch."""
     protocol, variant, bit, trent_name = SAMPLER_CONFIGS[config_index]
     trent = TRENTS[trent_name]
     _, branches = round_distribution(protocol, variant, bit, trent)
-    index = {
-        (b.trent_announcement, b.bob_measurement, b.adversary_raw): i
-        for i, b in enumerate(branches)
-    }
     counts = np.zeros(len(branches))
     generator = rng(config_index)
     for _ in range(DRAWS):
-        t = SAMPLERS[sampler](protocol, variant, bit, trent, generator)
-        key = (t.trent_announcement, t.bob_measurement, t.adversary_raw)
-        assert key in index, (sampler, key)
-        branch = branches[index[key]]
-        assert (t.decoded_bit, t.adversary_guess) == (branch.decoded_bit, branch.adversary_guess)
-        counts[index[key]] += 1
+        counts[message_branch(branches, SAMPLERS[sampler](protocol, variant, bit, trent, generator))] += 1
     expected = DRAWS * np.array([b.probability for b in branches])
     return float(np.sum((counts - expected) ** 2 / expected)), len(branches) - 1
 
@@ -408,9 +379,19 @@ class _Zeros:
         return 0
 
 
-def branch_key(t: RoundTranscript | RoundBranch):
-    """The fields a RoundTranscript shares with its RoundBranch."""
-    return (t.trent_announcement, t.bob_measurement, t.decoded_bit, t.adversary_guess, t.adversary_raw)
+def message_branch(branches, t: RoundTranscript) -> int:
+    """The index of the one branch whose transcript is the message round `t`."""
+    [index] = [i for i, b in enumerate(branches) if b.transcript is t]
+    return index
+
+
+def unflipped_branch(branches, t: RoundTranscript) -> int:
+    """The index of the branch of `t`, a message or check round with the
+    decoded bit as measured: the branch whose transcript equals `t` as a
+    message round."""
+    message = dataclasses.replace(t, is_check_bit=False)
+    [index] = [i for i, b in enumerate(branches) if b.transcript == message]
+    return index
 
 
 class TestRoundTree:
@@ -530,8 +511,8 @@ class TestRoundTree:
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             t = run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
             assert t == replay_round(protocol, variant, bit, TRENTS[name], _Zeros(), False)
-            _, branches = round_distribution(protocol, variant, bit, TRENTS[name])
-            assert branch_key(t) in {branch_key(b) for b in branches}
+            # raises unless t is a branch's transcript
+            message_branch(round_distribution(protocol, variant, bit, TRENTS[name])[1], t)
             if name == "honest":
                 assert t.decoded_bit == bit
 
@@ -539,7 +520,6 @@ class TestRoundTree:
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             trent = TRENTS[name]
             cumulative, branches = round_distribution(protocol, variant, bit, trent)
-            keys = [branch_key(b) for b in branches]
             generator = rng(7)
 
             def table_round(index, check):
@@ -548,13 +528,24 @@ class TestRoundTree:
                 return run_round(protocol, variant, bit, trent, _Uniforms([u]), check)
 
             for check in (False, True):
-                for index, key in enumerate(keys):
+                for index, branch in enumerate(branches):
                     t = table_round(index, check)
                     assert table_round(index, check) is t
-                    assert branch_key(t) == key and t.is_check_bit is check
+                    assert t == dataclasses.replace(branch.transcript, is_check_bit=check)
+                    if not check:
+                        assert t is branch.transcript
                 for _ in range(40):
                     t = run_round_statevector(protocol, variant, bit, trent, generator, check)
-                    assert table_round(keys.index(branch_key(t)), check) is t
+                    assert table_round(unflipped_branch(branches, t), check) is t
+
+    def test_each_branch_holds_its_message_transcript(self):
+        assert [field.name for field in dataclasses.fields(RoundBranch)] == ["probability", "transcript"]
+        for protocol, variant in ALL_COMBOS:
+            for trent in TRENTS.values():
+                model = protocol_module._model(protocol, variant, trent)
+                for bit in (0, 1):
+                    for i, branch in enumerate(round_distribution(protocol, variant, bit, trent)[1]):
+                        assert branch.transcript is model.transcripts[model.offset[bit] + 4 * i]
 
 
 class TestCorrespondenceTables:
@@ -869,7 +860,7 @@ def walked_shares(walk, denominator: int) -> dict:
         draws = _Uniforms(prefix)
         try:
             leaf = walk(draws)
-        except IndexError:  # out of draws; no round walks more than 4 deep
+        except IndexError:  # out of draws; no walk here is more than 4 deep
             assert len(prefix) < 4, prefix
             prefixes += [prefix + [u] for u in midpoints]
             continue
@@ -878,12 +869,61 @@ def walked_shares(walk, denominator: int) -> dict:
     return dict(shares)
 
 
-def snapped_probabilities(branches) -> dict[int, Fraction]:
-    """Each branch's probability, by index, as the multiple of 1/64 it is
+def snapped_probabilities(probabilities, denominator: int = 64) -> dict[int, Fraction]:
+    """Each probability, by index, as the multiple of 1/denominator it is
     up to rounding."""
-    exact = {i: Fraction(round(b.probability * 64), 64) for i, b in enumerate(branches)}
-    assert all(abs(b.probability - exact[i]) < 1e-12 for i, b in enumerate(branches))
+    exact = {i: Fraction(round(p * denominator), denominator) for i, p in enumerate(probabilities)}
+    assert all(abs(p - exact[i]) < 1e-12 for i, p in enumerate(probabilities))
     return exact
+
+
+CLIFFORD_GATES = {Gate.HADAMARD: oracle.H, Gate.PAULI_X: oracle.X, Gate.PAULI_Z: oracle.Z}
+
+
+@st.composite
+def clifford_schedules(draw):
+    """A start state, None for `make_ghz()` or the index of a 3-qubit
+    basis state, and a schedule of H, X and Z gates and one to four draw
+    steps: Z, X and Bell measurements and random steps of 2 or 4 symbols,
+    in random order and on random qubits.  Every Born probability of such
+    a schedule is a multiple of 1/4, and so is every random step's."""
+    qubit = st.integers(0, 2)
+    pair = st.permutations(range(3)).map(lambda order: tuple(order[:2]))
+    draw_step = st.one_of(
+        st.tuples(st.sampled_from(["z", "x"]), qubit.map(lambda q: (q,))),
+        st.tuples(st.just("bell"), pair),
+        st.sampled_from([2, 4]).map(lambda n: ("random", tuple(range(n)))),
+    )
+    gate = st.tuples(st.just("gate"), st.sampled_from(list(CLIFFORD_GATES)), qubit)
+    # up to three gates before each draw step: a gate after the last one
+    # would change no probability
+    steps = []
+    for i, (gates, step) in enumerate(draw(st.lists(st.tuples(st.lists(gate, max_size=3), draw_step),
+                                                     min_size=1, max_size=4))):
+        role = f"r{i}"
+        steps += gates
+        steps.append(("random", role, step[1]) if step[0] == "random" else ("measure", role, *step))
+    return draw(st.one_of(st.none(), st.integers(0, 7))), tuple(steps)
+
+
+def oracle_family(step):
+    """The oracle's operator family of one schedule step."""
+    if step[0] == "gate":
+        return oracle.gate_family(CLIFFORD_GATES[step[1]], step[2])
+    if step[0] == "random":
+        return oracle.random_family(step[2])
+    _, _, basis, qubits = step
+    if basis == "bell":
+        return oracle.bell_family(qubits)
+    return {"z": oracle.z_family, "x": oracle.x_family}[basis](qubits[0])
+
+
+def oracle_outcome(step, outcomes):
+    """A branch's outcome of one schedule step, as the oracle names it."""
+    if step[0] == "gate":
+        return "gate"
+    symbol = outcomes[step[1]]
+    return symbol if step[0] == "random" else str(symbol.value)
 
 
 class TestExactDraws:
@@ -899,19 +939,19 @@ class TestExactDraws:
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             model = protocol_module._model(protocol, variant, TRENTS[name])
             shares = walked_shares(functools.partial(qsim.walk, model.walks[bit]), 8)
-            assert shares == snapped_probabilities(model.branches[bit]), (protocol, variant, bit, name)
+            exact = snapped_probabilities([b.probability for b in model.branches[bit]])
+            assert shares == exact, (protocol, variant, bit, name)
 
     def test_run_round_takes_each_branch_for_its_share(self):
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             trent = TRENTS[name]
             _, branches = round_distribution(protocol, variant, bit, trent)
-            keys = [branch_key(b) for b in branches]
-            assert len(set(keys)) == len(keys)
 
             def branch(draws):
-                return keys.index(branch_key(run_round(protocol, variant, bit, trent, draws)))
+                return message_branch(branches, run_round(protocol, variant, bit, trent, draws))
 
-            assert walked_shares(branch, 64) == snapped_probabilities(branches), (protocol, variant, bit, name)
+            exact = snapped_probabilities([b.probability for b in branches])
+            assert walked_shares(branch, 64) == exact, (protocol, variant, bit, name)
 
     @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
     def test_run_session_takes_each_branch_for_its_share(self, protocol, variant):
@@ -922,10 +962,27 @@ class TestExactDraws:
             transcripts, _, _ = run_session(protocol, variant, plan, trent, _Uniforms(midpoints * 2))
             for bit in (0, 1):
                 _, branches = round_distribution(protocol, variant, bit, trent)
-                keys = [branch_key(b) for b in branches]
-                counts = Counter(keys.index(branch_key(t)) for t in transcripts[64 * bit : 64 * (bit + 1)])
+                counts = Counter(unflipped_branch(branches, t) for t in transcripts[64 * bit : 64 * (bit + 1)])
                 shares = {i: Fraction(count, 64) for i, count in counts.items()}
-                assert shares == snapped_probabilities(branches), (name, bit)
+                assert shares == snapped_probabilities([b.probability for b in branches]), (name, bit)
+
+    @given(clifford_schedules())
+    @settings(max_examples=40, deadline=None)
+    def test_random_clifford_schedules_take_each_branch_for_its_share(self, drawn):
+        # `schedule_branches` beyond the protocol's schedules: at most four
+        # draws of probability k/4 each, so every branch's is a multiple of 1/256
+        start, steps = drawn
+        state = make_ghz() if start is None else qsim.make_state(np.eye(8)[start])
+        branches, table = qsim.schedule_branches(state, steps)
+        exact = snapped_probabilities([p for p, _ in branches], 256)
+        assert walked_shares(functools.partial(qsim.walk, table), 8) == exact
+        # the same branches and probabilities as the oracle's Born products
+        psi = oracle.ghz() if start is None else np.eye(8, dtype=complex)[start]
+        born = oracle.measure_chain(psi, [oracle_family(step) for step in steps])
+        born_exact = snapped_probabilities([p for _, p in born], 256)
+        names = [tuple(oracle_outcome(step, outcomes) for step in steps) for _, outcomes in branches]
+        assert dict(zip(names, exact.values())) == dict(zip([names for names, _ in born], born_exact.values()))
+
 
 SESSION_FIT_CONFIGS = {
     "p2-revised-honest": (P2, REVISED, TrentStrategy.honest(), 0.05, 41),
@@ -948,7 +1005,7 @@ def session_branches(name: str) -> tuple[list[tuple[RoundTranscript, int]], dict
     tables = {bit: round_distribution(protocol, variant, bit, trent)[1] for bit in (0, 1)}
     index = {
         bit: {
-            (b.trent_announcement, b.bob_measurement, b.adversary_raw): i
+            (b.transcript.trent_announcement, b.transcript.bob_measurement, b.transcript.adversary_raw): i
             for i, b in enumerate(branches)
         }
         for bit, branches in tables.items()
@@ -985,7 +1042,7 @@ class TestSessionFit:
     def test_noise_flips_follow_their_binomial(self, name):
         rows, tables = session_branches(name)
         noise = SESSION_FIT_CONFIGS[name][3]
-        flips = sum(t.decoded_bit != tables[t.sent_bit][i].decoded_bit for t, i in rows)
+        flips = sum(t.decoded_bit != tables[t.sent_bit][i].transcript.decoded_bit for t, i in rows)
         lower, upper = binomial_tails(flips, len(rows), noise)
         assert min(lower, upper) > FALSE_ALARM / 2, (flips, len(rows) * noise)
 

@@ -112,6 +112,28 @@ class TestStateVector:
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
 
+    def test_states_compare_by_identity(self):
+        # equal amplitudes make equal states only by fidelity; `==` used to
+        # raise numpy's "truth value of an array is ambiguous"
+        a, b = make_ghz(), make_ghz()
+        assert a == a and a != b
+        assert fidelity(a, b) == pytest.approx(1.0, abs=ATOL)
+
+    def test_states_hash(self):
+        a, b = make_ghz(), make_ghz()
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
+    @pytest.mark.parametrize(
+        "build", [make_state, functools.partial(StateVector, 1)], ids=["make_state", "StateVector"]
+    )
+    def test_construction_copies_the_callers_array(self, build):
+        amps = np.array([1, 0], dtype=complex)
+        state = build(amps)
+        assert amps.flags.writeable and not state.amplitudes.flags.writeable
+        amps[:] = [0, 1]
+        assert state.amplitudes.tolist() == [1, 0]
+
     @pytest.mark.parametrize("length", [0, 1, 3, 6, 16])
     def test_make_state_rejects_lengths_other_than_2_4_8(self, length):
         with pytest.raises(ValueError, match=f"expected 2, 4 or 8 amplitudes, got {length}$"):
