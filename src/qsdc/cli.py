@@ -43,7 +43,7 @@ def load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -172,9 +172,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError:
-        # the reader closed stdout (`qsdc run | head`): point it at the null
-        # device, so the interpreter's own flush at exit fails no more
+    except OSError as exc:
+        # a write to stdout failed: the reader closed it (`qsdc run | head`),
+        # which needs no message, or the device is full.  Point stdout at the
+        # null device, so the interpreter's own flush at exit fails no more
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

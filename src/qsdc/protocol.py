@@ -163,6 +163,8 @@ def _check_bit(bit: int) -> int:
 
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
     """Apply Alice's gate sequence for the bit to qubit A."""
+    if not isinstance(variant, EncodingVariant):
+        raise ValueError(f"variant must be an EncodingVariant, got {variant!r}")
     bit = _check_bit(bit)
     for gate in ENCODING_RULES[variant][bit]:
         state = qsim.apply_gate(state, gate, QUBIT_A)
@@ -175,6 +177,8 @@ def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
     announcement in the order the protocol makes them.  An attacking
     Trent's default policy is genuine in protocol 1, uniform in protocol 2.
     """
+    if not isinstance(protocol, ProtocolId):
+        raise ValueError(f"protocol must be a ProtocolId, got {protocol!r}")
     if protocol is ProtocolId.PROTOCOL_1:
         attack, announce = adversary.trent_steps(
             trent, adversary.P1_ANNOUNCEMENT, AnnouncementPolicy.GENUINE_MEASUREMENT
@@ -202,7 +206,7 @@ def _decode_map(protocol: ProtocolId) -> dict:
     table = {}
     for variant in EncodingVariant:
         for bit in (0, 1):
-            for _, outcomes in _round_branches(protocol, variant, bit, TrentStrategy.honest())[0]:
+            for _, outcomes, _ in _round_branches(protocol, variant, bit, TrentStrategy.honest())[0]:
                 key = (outcomes["trent"], outcomes["bob"])
                 if table.setdefault(key, bit) != bit:
                     raise ValueError(f"decode map not single-valued at {key}")
@@ -264,7 +268,7 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         walked, table = _round_branches(protocol, variant, bit, trent)
         offset.append(len(transcripts))
         bit_branches = []
-        for p, outcomes in walked:
+        for p, outcomes, _ in walked:
             announcement, measurement = outcomes["trent"], outcomes["bob"]
             record = adversary.attack_record(outcomes)
             decoded = decode(protocol, announcement, measurement)
@@ -334,11 +338,11 @@ def run_round_statevector(
     `qsim.walk` draws the branch from the round's walk table: one
     `rng.random()` per measurement against the Born probabilities of the
     state it measures, one `rng.integers` per random step, in time
-    order, exactly as `qsim.sample_schedule` draws when it runs the
-    round's schedule.  The table is built once with the branches, so a
-    round does little more than its draws.  This is the reference
-    `run_round` is checked against: the two differ only in how they
-    draw the branch whose shared transcript they return.
+    order, exactly as `qsim.sample_schedule` draws, since it walks a
+    table `qsim.schedule_branches` builds too.  The table is built once
+    with the branches, so a round does little more than its draws.
+    This is the reference `run_round` is checked against: the two differ
+    only in how they draw the branch whose shared transcript they return.
     """
     bit = _check_bit(bit)
     model = _model(protocol, variant, trent)
@@ -393,7 +397,12 @@ def run_session(
     ones being those `run_round` returns, so a session builds none.
     A plan without check rounds is rejected, since it would pass
     unchecked, and so is a rate `check_rate` rejects: a NaN or a bool too.
+    So is a plan whose fields are not 1-D arrays of one length with bool
+    check flags: integer flags would index another branch's transcript.
     """
+    if not (isinstance(plan.bits, np.ndarray) and isinstance(plan.is_check, np.ndarray)
+            and plan.bits.ndim == plan.is_check.ndim == 1 and plan.is_check.dtype == bool):
+        raise ValueError("session plan needs 1-D numpy arrays of bits and of bool check flags")
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
     if not plan.is_check.any():

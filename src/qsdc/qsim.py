@@ -23,7 +23,8 @@ zeros, so no branch has them and `measure_*` never returns them.
 branch: `measure_*` walk the one-level node `_born` builds from a
 measurement's probabilities, and `schedule_branches` nests the same
 nodes into a schedule's table, one draw per measurement or random step.
-`sample_schedule` runs a schedule step by step, making the same draws.
+`sample_schedule` walks a schedule's table and returns the leaf's
+outcomes and final state: the one runner of a schedule.
 """
 from __future__ import annotations
 
@@ -287,7 +288,7 @@ def measure_bell(
     return _sample_projective(state, "bell", (qubit_a, qubit_b), rng)
 
 
-def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, dict]], object]:
+def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, dict, StateVector]], object]:
     """The exact branches of a step schedule run on `state`, and its walk table.
 
     A schedule is a time-ordered tuple of steps: ("gate", Gate, qubit),
@@ -296,19 +297,19 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
     and each measurement projected once per branch; every possible
     outcome (Born probability above ATOL) gets its branches.
 
-    `branches` holds (joint probability, outcomes by role) of every
-    branch, ordered by the first step's outcome, then the second's, each
-    in alphabet order.  `table` is the tree of the same branches as
-    nested tuples, read by `walk`: a measurement is its `_born` node
-    with each outcome index replaced by the subtable of that outcome; a
-    random step is (None, n, kids); a leaf is its branch's index in
-    `branches`.
+    `branches` holds (joint probability, outcomes by role, final state)
+    of every branch, ordered by the first step's outcome, then the
+    second's, each in alphabet order.  `table` is the tree of the same
+    branches as nested tuples, read by `walk`: a measurement is its
+    `_born` node with each outcome index replaced by the subtable of
+    that outcome; a random step is (None, n, kids); a leaf is its
+    branch's index in `branches`.
     """
     branches = []
 
     def visit(state, steps, probability, outcomes):
         if not steps:
-            branches.append((probability, outcomes))
+            branches.append((probability, outcomes, state))
             return len(branches) - 1
         step, rest = steps[0], steps[1:]
         if step[0] == "gate":
@@ -347,17 +348,8 @@ def walk(table, rng) -> int:
 
 
 def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
-    """Run a step schedule (see `schedule_branches`) on `state` one step
-    at a time, drawing from `rng` as `walk` does: the outcomes by role
-    and the final state."""
-    outcomes = {}
-    for step in schedule:
-        if step[0] == "gate":
-            state = apply_gate(state, step[1], step[2])
-        elif step[0] == "measure":
-            _, role, basis, qubits = step
-            outcomes[role], state = _sample_projective(state, basis, qubits, rng)
-        else:
-            _, role, alphabet = step
-            outcomes[role] = alphabet[rng.integers(len(alphabet))]
-    return outcomes, state
+    """The outcomes by role and the final state of the branch of
+    `schedule_branches(state, schedule)` that `walk` draws from `rng`."""
+    branches, table = schedule_branches(state, schedule)
+    _, outcomes, final = branches[walk(table, rng)]
+    return outcomes, final

@@ -801,7 +801,7 @@ class TestCli:
             path.write_bytes(b"seed = \xff\n")
         assert cli.main(["run", "--config", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"configuration error: cannot read config file {path}: ")
+        assert err.startswith(f"configuration error: cannot read config file {str(path)!r}: ")
 
     def test_unwritable_out_path_exits_cleanly(self, tmp_path, capsys):
         out = tmp_path / "missing" / "dir" / "x.json"
@@ -890,6 +890,14 @@ class TestCli:
             os.close(write)
         assert (result.returncode, result.stderr) == (1, "")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("argv", [HONEST_P2_CSV, ["tables"], ["verify"]], ids=["run", "tables", "verify"])
+    def test_a_full_stdout_ends_the_command_with_one_error_line(self, argv):
+        # as in `qsdc run ... > /dev/full`: every write fails with ENOSPC
+        with open("/dev/full", "w") as full:
+            result = run_qsdc(argv, stdout=full)
+        assert (result.returncode, result.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
     def test_an_empty_out_path_is_an_error_not_stdout(self):
         result = run_qsdc([*self.HONEST_P2_CSV, "--out", ""], stdout=subprocess.PIPE)
         assert (result.returncode, result.stdout) == (1, "")
@@ -898,4 +906,4 @@ class TestCli:
     def test_an_empty_config_path_is_read_not_ignored(self):
         result = run_qsdc(["run", "--bits", "20", "--config", ""], stdout=subprocess.PIPE)
         assert (result.returncode, result.stdout) == (2, "")
-        assert result.stderr.startswith("configuration error: cannot read config file")
+        assert result.stderr.startswith("configuration error: cannot read config file '': ")

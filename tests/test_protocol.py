@@ -127,6 +127,27 @@ def test_every_round_entry_point_rejects_a_malformed_strategy(protocol, trent):
             pytest.fail(f"{name} accepted {trent}")
 
 
+@pytest.mark.parametrize(
+    "protocol,variant,field",
+    [(3, REVISED, "protocol"), (1, REVISED, "protocol"), (P1, "revised", "variant"), (P2, P1, "variant")],
+    ids=["protocol-3", "protocol-1", "variant-str", "variant-protocol"],
+)
+def test_every_round_entry_point_rejects_a_protocol_or_variant_not_an_enum(protocol, variant, field):
+    # before, protocol 3 (or 1) ran as protocol 2, and "revised" raised a KeyError
+    honest = TrentStrategy.honest()
+    plan = SessionPlan.build([0, 1] * 10, 0.5, rng())
+    calls = {
+        "round_distribution": lambda: round_distribution(protocol, variant, 0, honest),
+        "run_round": lambda: run_round(protocol, variant, 0, honest, rng()),
+        "run_round_statevector": lambda: run_round_statevector(protocol, variant, 1, honest, rng()),
+        "run_session": lambda: run_session(protocol, variant, plan, honest, rng()),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{field}"):
+            call()
+            pytest.fail(f"{name} accepted {protocol!r}, {variant!r}")
+
+
 class TestDecodeTables:
     def test_decode_p1_rows(self):
         assert decode(P1, PLUS, PHI_P) == 1
@@ -419,33 +440,29 @@ class TestRoundTree:
                 run_round_statevector(protocol, variant, bit, TRENTS[name], generator)
             run_round_statevector(protocol, variant, bit, TRENTS[name], _Zeros())
 
-    def test_walk_takes_the_branch_and_draws_of_sample_schedule(self):
-        # the model's walk table against `qsim.sample_schedule` stepping the
-        # round's schedule with the primitives, its branch keyed by the
-        # outcomes (one branch each): same transcript, same draws, on seeded
+    def test_walk_takes_the_branch_and_draws_of_a_step_by_step_replay(self):
+        # the model's walk table against `replay_round` stepping the round's
+        # schedule with the primitives, its branch found by its transcript
+        # (one branch each): same shared transcript, same draws, on seeded
         # streams, all-zero draws and draws just below 1.  A draw of 1.0,
         # which no generator makes, reaches the padding past each
         # measurement's last possible outcome.
         below_one = float(np.nextafter(1.0, 0.0))
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             trent = TRENTS[name]
-            walked, _ = protocol_module._round_branches(protocol, variant, bit, trent)
-            branch_of = {tuple(outcomes.items()): index for index, (_, outcomes) in enumerate(walked)}
-            assert len(branch_of) == len(walked)
             model = protocol_module._model(protocol, variant, trent)
-            steps = schedule(protocol, trent)
             streams = [(rng(seed), rng(seed)) for seed in range(8)]
             streams += [(_Uniforms([u] * 9), _Uniforms([u] * 9)) for u in (0.0, below_one, 1.0)]
-            for walking, sampling in streams:
+            for walking, replaying in streams:
                 for check in (False, True):
-                    outcomes, _ = qsim.sample_schedule(encode_bit(variant, bit, make_ghz()), steps, sampling)
-                    branch = branch_of[tuple(outcomes.items())]
+                    replayed = replay_round(protocol, variant, bit, trent, replaying, check)
+                    branch = unflipped_branch(model.branches[bit], replayed)
                     expected = model.transcripts[model.offset[bit] + 4 * branch + 2 * check]
                     assert run_round_statevector(protocol, variant, bit, trent, walking, check) is expected
                 if isinstance(walking, _Uniforms):
-                    assert len(walking.values) == len(sampling.values)
+                    assert len(walking.values) == len(replaying.values)
                 else:
-                    assert walking.random() == sampling.random()
+                    assert walking.random() == replaying.random()
 
     def test_warm_rounds_neither_sample_the_schedule_nor_pick(self, monkeypatch):
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
@@ -705,6 +722,23 @@ class TestRunSession:
     )
     def test_malformed_plan_rejected(self, bits, is_check):
         plan = SessionPlan(bits=np.array(bits, dtype=np.int8), is_check=np.array(is_check, dtype=bool))
+        with pytest.raises(ValueError, match="plan"):
+            run_session(P1, REVISED, plan, TrentStrategy.honest(), rng())
+
+    @pytest.mark.parametrize(
+        "bits,is_check",
+        [
+            # integer flags made round 0 return another branch's message transcript
+            (np.zeros(8, np.int8), np.array([2, 0, 0, 0, 0, 0, 0, 1])),
+            (np.zeros(8, np.int8), np.array([1, 0, 0, 0, 0, 0, 0, 1])),
+            ([0, 1, 1], [True, False, False]),
+            (np.zeros(3, np.int8), [True, False, False]),
+            (np.zeros((1, 3), np.int8), np.array([[True, False, False]])),
+        ],
+        ids=["int-flags-2", "int-flags-1", "lists", "list-flags", "2-D"],
+    )
+    def test_plan_fields_must_be_1d_arrays_with_bool_flags(self, bits, is_check):
+        plan = SessionPlan(bits=bits, is_check=is_check)
         with pytest.raises(ValueError, match="plan"):
             run_session(P1, REVISED, plan, TrentStrategy.honest(), rng())
 
@@ -974,13 +1008,13 @@ class TestExactDraws:
         start, steps = drawn
         state = make_ghz() if start is None else qsim.make_state(np.eye(8)[start])
         branches, table = qsim.schedule_branches(state, steps)
-        exact = snapped_probabilities([p for p, _ in branches], 256)
+        exact = snapped_probabilities([p for p, _, _ in branches], 256)
         assert walked_shares(functools.partial(qsim.walk, table), 8) == exact
         # the same branches and probabilities as the oracle's Born products
         psi = oracle.ghz() if start is None else np.eye(8, dtype=complex)[start]
         born = oracle.measure_chain(psi, [oracle_family(step) for step in steps])
         born_exact = snapped_probabilities([p for _, p in born], 256)
-        names = [tuple(oracle_outcome(step, outcomes) for step in steps) for _, outcomes in branches]
+        names = [tuple(oracle_outcome(step, outcomes) for step in steps) for _, outcomes, _ in branches]
         assert dict(zip(names, exact.values())) == dict(zip([names for names, _ in born], born_exact.values()))
 
 

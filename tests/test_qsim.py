@@ -39,7 +39,7 @@ def born_probabilities(state, basis, qubits) -> dict:
     """Probability of every possible outcome of one measurement, from a
     one-step schedule."""
     step = (("measure", "m", basis, qubits),)
-    return {out["m"]: p for p, out in qsim.schedule_branches(state, step)[0]}
+    return {out["m"]: p for p, out, _ in qsim.schedule_branches(state, step)[0]}
 
 
 @st.composite
@@ -430,7 +430,9 @@ class TestSchedules:
     )
 
     def test_sampler_draws_in_time_order(self):
-        # one rng.random() per measurement, one rng.integers per random step
+        # the walk of the schedule's table against the primitives stepped in
+        # time order: one rng.random() per measurement, one rng.integers per
+        # random step, and the same final amplitudes
         for seed in range(20):
             outcomes, state = qsim.sample_schedule(make_ghz(), self.SCHEDULE, rng(seed))
             generator = rng(seed)
@@ -442,20 +444,6 @@ class TestSchedules:
             assert outcomes == {"a": a, "r": r, "ab": ab, "t": t}
             assert np.array_equal(state.amplitudes, expected.amplitudes)
 
-    def test_sampler_projects_once_per_measurement(self, monkeypatch):
-        # the sampler steps the primitives: it projects the state it
-        # measures, not every branch of the schedule
-        bases = []
-        original = qsim._project
-
-        def project(state, basis, qubits):
-            bases.append(basis)
-            return original(state, basis, qubits)
-
-        monkeypatch.setattr(qsim, "_project", project)
-        qsim.sample_schedule(make_ghz(), self.SCHEDULE, rng(0))
-        assert bases == ["z", "bell", "x"]
-
     def test_table_drops_impossible_outcomes_and_splits_random_steps(self):
         steps = (("measure", "a", "z", (0,)), ("random", "r", ("p", "q")))
         branches, table = qsim.schedule_branches(make_state([1, 0]), steps)
@@ -464,7 +452,7 @@ class TestSchedules:
         random_step = (None, 2, (0, 1))
         assert table == ((1.0,), 1.0, (random_step, random_step))
         zero = ZOutcome.ZERO
-        assert branches == [(0.5, {"a": zero, "r": "p"}), (0.5, {"a": zero, "r": "q"})]
+        assert [(p, out) for p, out, _ in branches] == [(0.5, {"a": zero, "r": "p"}), (0.5, {"a": zero, "r": "q"})]
 
     def test_table_pads_a_measurement_with_its_last_possible_child(self):
         # X of |0>, then X again: the repeat has one possible outcome
@@ -473,24 +461,27 @@ class TestSchedules:
         cumulative, total, (plus, minus, pad) = table
         assert cumulative == pytest.approx((0.5, 1.0)) and total == pytest.approx(1.0)
         assert pad is minus and plus[2] == (0, 0) and minus[2] == (1, 1)
-        assert [out for _, out in branches] == [
+        assert [out for _, out, _ in branches] == [
             {"x": XOutcome.PLUS, "again": XOutcome.PLUS},
             {"x": XOutcome.MINUS, "again": XOutcome.MINUS},
         ]
+        # each branch keeps the state it ends in: |+> and |->
+        finals = [fidelity(final, make_state(qsim.X_VECTORS[o])) for (_, _, final), o in zip(branches, XOutcome)]
+        assert finals == pytest.approx([1.0, 1.0])
 
     def test_enumeration_is_complete_and_matches_the_born_rule(self):
         branches, table = qsim.schedule_branches(make_ghz(), self.SCHEDULE)
-        assert sum(p for p, _ in branches) == pytest.approx(1.0, abs=ATOL)
+        assert sum(p for p, _, _ in branches) == pytest.approx(1.0, abs=ATOL)
         # after H on A, the GHZ state gives either Z outcome of A w.p. 1/2
         for z in ZOutcome:
-            p_z = sum(p for p, out in branches if out["a"] is z)
+            p_z = sum(p for p, out, _ in branches if out["a"] is z)
             assert p_z == pytest.approx(0.5, abs=ATOL)
         # the random step splits every branch evenly
         for symbol in ("p", "q", "s"):
-            p_r = sum(p for p, out in branches if out["r"] == symbol)
+            p_r = sum(p for p, out, _ in branches if out["r"] == symbol)
             assert p_r == pytest.approx(1 / 3, abs=ATOL)
-        assert all(p > 1e-15 for p, _ in branches)
-        assert len({tuple(out.items()) for _, out in branches}) == len(branches)
+        assert all(p > 1e-15 for p, _, _ in branches)
+        assert len({tuple(out.items()) for _, out, _ in branches}) == len(branches)
 
         # the table's leaves, pads left out, are the branches in order
         def leaves(node):
