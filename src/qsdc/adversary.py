@@ -78,7 +78,10 @@ P2_ANNOUNCEMENT = ("measure", "trent", "bell", (QUBIT_A, QUBIT_T))
 
 
 def _check_strategy(trent: TrentStrategy) -> None:
-    """Raise ValueError unless `trent` is a StrategyKind with a policy or None, None if honest."""
+    """Raise ValueError unless `trent` is a TrentStrategy holding a
+    StrategyKind with a policy or None, None if honest."""
+    if not isinstance(trent, TrentStrategy):
+        raise ValueError(f"trent must be a TrentStrategy, got {trent!r}")
     kind, policy = trent.kind, trent.announcement_policy
     if not isinstance(kind, StrategyKind) or not (policy is None or isinstance(policy, AnnouncementPolicy)):
         raise ValueError(f"trent must hold a StrategyKind and a policy or None, got {trent}")

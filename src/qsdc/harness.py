@@ -12,7 +12,7 @@ import math
 import numbers
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -134,25 +134,15 @@ class RunReport:
         return tuple(SessionStats(e, bool(a), g, z) for e, a, g, z in cells)
 
     def to_json(self, include_timing: bool = False) -> str:
-        """Stable-key-order JSON.  Wall time is excluded by default so that
-        identical configs produce byte-identical reports."""
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "config": self.config,
-            "total_rounds": self.total_rounds,
-            "check_rounds": self.check_rounds,
-            "bob_error_rate": self.bob_error_rate,
-            "bob_error_interval": list(self.bob_error_interval),
-            "trent_guess_accuracy": self.trent_guess_accuracy,
-            "trent_guess_interval": (
-                list(self.trent_guess_interval) if self.trent_guess_interval else None
-            ),
-            "z_equal_fraction": self.z_equal_fraction,
-            "abort_fraction": self.abort_fraction,
-            "histogram": dict(sorted(self.histogram.items())),
-        }
-        if include_timing:
-            payload["wall_time"] = self.wall_time
+        """`schema_version`, then every field in declaration order except
+        `session_counts`, which only the CSV holds; the histogram is
+        key-sorted.  `wall_time` is left out unless `include_timing`, so
+        that identical configs produce byte-identical reports."""
+        payload = {"schema_version": SCHEMA_VERSION}
+        payload.update((name, getattr(self, name)) for name in _JSON_FIELDS)
+        payload["histogram"] = dict(sorted(self.histogram.items()))
+        if not include_timing:
+            del payload["wall_time"]
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self) -> str:
@@ -167,6 +157,9 @@ class RunReport:
             + "".join(f"session_{i},{row}" for i, row in enumerate(map(cells.__getitem__, rows)))
             + _csv_row(["summary", *summary])
         )
+
+
+_JSON_FIELDS = tuple(f.name for f in fields(RunReport) if f.name != "session_counts")
 
 
 def _csv_row(cells: list) -> str:

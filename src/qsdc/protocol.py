@@ -83,12 +83,8 @@ class RoundTranscript:
     adversary_raw: tuple[ZOutcome, ZOutcome] | None = None
 
     def __post_init__(self):
-        ann_type = XOutcome if self.protocol is ProtocolId.PROTOCOL_1 else BellOutcome
-        meas_type = BellOutcome if self.protocol is ProtocolId.PROTOCOL_1 else XOutcome
-        if not isinstance(self.trent_announcement, ann_type):
-            raise ValueError(f"{self.protocol} announces {ann_type.__name__} outcomes")
-        if not isinstance(self.bob_measurement, meas_type):
-            raise ValueError(f"{self.protocol} has Bob record {meas_type.__name__} outcomes")
+        # raises unless the protocol's honest round yields this outcome pair
+        decode(self.protocol, self.trent_announcement, self.bob_measurement)
 
 
 def _check_real(name: str, value: float) -> None:
@@ -221,8 +217,17 @@ def decode(protocol: ProtocolId, announcement, measurement) -> int:
 
     The rule is the same for both encodings: the revision permutes signs
     inside the Bell/X correlation, not which pairs occur for which bit.
+    A protocol that is not a ProtocolId, or a pair no honest round of it
+    yields, raises ValueError.
     """
-    return _decode_map(protocol)[(announcement, measurement)]
+    if not isinstance(protocol, ProtocolId):
+        raise ValueError(f"protocol must be a ProtocolId, got {protocol!r}")
+    table = _decode_map(protocol)
+    try:
+        return table[(announcement, measurement)]
+    except (KeyError, TypeError):  # a TypeError for an unhashable outcome
+        raise ValueError(f"no honest round of {protocol} announces {announcement} "
+                         f"with Bob measuring {measurement}") from None
 
 
 @dataclass(frozen=True)
@@ -310,6 +315,18 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
     )
 
 
+def _checked_model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
+    """`_model`, but an unhashable argument raises the ValueError that
+    `encode_bit` or `schedule` gives for it; checked only when the lookup fails."""
+    try:
+        return _model(protocol, variant, trent)
+    except TypeError as exc:
+        error = exc
+    encode_bit(variant, 0, qsim.make_ghz())
+    schedule(protocol, trent)
+    raise error
+
+
 def round_distribution(
     protocol: ProtocolId, variant: EncodingVariant, bit: int, trent: TrentStrategy
 ) -> tuple[tuple[float, ...], tuple[RoundBranch, ...]]:
@@ -320,7 +337,7 @@ def round_distribution(
     tuple is the one `run_round` walks.
     """
     bit = _check_bit(bit)
-    model = _model(protocol, variant, trent)
+    model = _checked_model(protocol, variant, trent)
     return model.joint[bit][0], model.branches[bit]
 
 
@@ -345,7 +362,7 @@ def run_round_statevector(
     only in how they draw the branch whose shared transcript they return.
     """
     bit = _check_bit(bit)
-    model = _model(protocol, variant, trent)
+    model = _checked_model(protocol, variant, trent)
     branch = qsim.walk(model.walks[bit], rng)
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
@@ -370,7 +387,7 @@ def run_round(
     `run_session` samples a whole session at a fraction of this cost.
     """
     bit = _check_bit(bit)
-    model = _model(protocol, variant, trent)
+    model = _checked_model(protocol, variant, trent)
     branch = qsim.walk(model.joint[bit], rng)
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
@@ -415,7 +432,7 @@ def run_session(
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
-    model = _model(protocol, variant, trent)
+    model = _checked_model(protocol, variant, trent)
     # Each round's index in the model's transcripts.
     index = 2 * plan.is_check + flipped
     for bit in (0, 1):

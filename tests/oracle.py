@@ -211,3 +211,16 @@ def adversary_view(protocol: int, variant: str, bit: int) -> dict:
         key = (za, zt, guess)
         view[key] = view.get(key, 0.0) + p
     return view
+
+
+def reduced_state(psi: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """Density matrix of the qubits `keep`, in that order, of a 3-qubit
+    pure state: the other qubits are traced out."""
+    tensor = np.moveaxis(psi.reshape(2, 2, 2), keep, list(range(len(keep))))
+    kept = tensor.reshape(2 ** len(keep), -1)
+    return kept @ kept.conj().T
+
+
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """½‖ρ − σ‖₁: half the summed absolute eigenvalues of the difference."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())

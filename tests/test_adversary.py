@@ -14,7 +14,7 @@ from qsdc.adversary import (
     honest_p1_announcement,
 )
 from qsdc.protocol import EncodingVariant, ProtocolId, encode_bit, run_round
-from qsdc.qsim import BellOutcome, XOutcome, ZOutcome, make_ghz, x_probabilities
+from qsdc.qsim import ATOL, BellOutcome, XOutcome, ZOutcome, make_ghz, x_probabilities
 
 ORIGINAL, REVISED = EncodingVariant.ORIGINAL, EncodingVariant.REVISED
 
@@ -196,3 +196,54 @@ class TestAttackMetrics:
         assert not any(t.is_check_bit for t in transcripts)
         # the original encoding leaks every bit: Z outcomes agree for bit 0 only
         assert attack_metrics(transcripts) == (1.0, None, 0.5)
+
+
+# Qubit sets a party can hold, in the oracle's (A, T, B) order: Trent holds
+# (A, T) before he announces, Bob (A, B) in protocol 1 and B alone in
+# protocol 2, and an outsider A alone.
+HOLDERS = {"AT": (0, 1), "AB": (0, 2), "B": (2,), "A": (0,)}
+TRACE_DISTANCES = {
+    "original": {"AT": 1.0, "AB": 1.0, "B": 0.0, "A": 0.0},
+    "revised": {"AT": 0.0, "AB": 0.0, "B": 0.0, "A": 0.0},
+}
+
+
+def holder_trace_distance(variant: str, qubits) -> float:
+    """D_S between the reduced states on S of the triple encoding bit 0 and bit 1."""
+    rho0, rho1 = (oracle.reduced_state(oracle.encode(variant, bit), qubits) for bit in (0, 1))
+    return oracle.trace_distance(rho0, rho1)
+
+
+class TestBestPossibleGuess:
+    """No measurement on a set S of qubits guesses a uniform bit with
+    probability above (1 + D_S)/2, for D_S the trace distance between
+    the reduced states on S of the two encodings (Helstrom 1976)."""
+
+    def test_oracle_partial_trace(self):
+        ghz = oracle.ghz()
+        assert np.allclose(oracle.reduced_state(ghz, (0,)), np.eye(2) / 2, atol=ATOL)
+        assert np.allclose(oracle.reduced_state(ghz, (0, 1)), np.diag([0.5, 0, 0, 0.5]), atol=ATOL)
+        # |+>|0>|1>: keeping (B, A) orders B first
+        plus, one = oracle.KET_X["+"], oracle.KET[1]
+        psi = np.kron(np.kron(plus, oracle.KET[0]), one)
+        expected = np.kron(np.outer(one, one), np.outer(plus, plus))
+        assert np.allclose(oracle.reduced_state(psi, (2, 0)), expected, atol=ATOL)
+
+    @pytest.mark.parametrize("variant", list(TRACE_DISTANCES))
+    def test_trace_distance_of_each_holder(self, variant):
+        for holder, qubits in HOLDERS.items():
+            expected = TRACE_DISTANCES[variant][holder]
+            assert holder_trace_distance(variant, qubits) == pytest.approx(expected, abs=ATOL), holder
+
+    @pytest.mark.parametrize("policy", [None, *AnnouncementPolicy])
+    @pytest.mark.parametrize("variant", list(EncodingVariant))
+    @pytest.mark.parametrize("protocol_id", list(ProtocolId))
+    def test_the_attack_reaches_the_bound_on_trents_qubits(self, protocol_id, variant, policy):
+        # the model's exact guess accuracy: 1 under the original encoding,
+        # so the attack is the best measurement; 1/2 under the revised one,
+        # where no measurement on (A, T) beats a coin flip
+        _, hit, _, p_class, _ = protocol._model(protocol_id, variant, TrentStrategy.attack(policy)).classes
+        accuracy = p_class @ hit
+        bound = (1 + holder_trace_distance(variant.value, HOLDERS["AT"])) / 2
+        assert accuracy <= bound + ATOL
+        assert accuracy == pytest.approx(bound, abs=ATOL)

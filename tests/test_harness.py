@@ -533,6 +533,7 @@ class TestSessionCounts:
     def test_timing_adds_only_the_wall_time(self):
         report = run_experiment(RunConfig(message_length=20, seed=3, rounds_repeat=5))
         default, timed = json.loads(report.to_json()), json.loads(report.to_json(include_timing=True))
+        assert list(timed) == [*default, "wall_time"]
         wall_time = timed.pop("wall_time")
         assert type(wall_time) is float and wall_time >= 0.0
         assert timed == default
@@ -720,6 +721,7 @@ class TestCli:
         [
             ("run_p1_original_attack.json", ["--protocol", "1", "--trent", "attack"]),
             ("run_p2_original_honest.csv", ["--protocol", "2", "--trent", "honest", "--format", "csv"]),
+            ("run_p2_original_honest.json", ["--protocol", "2", "--trent", "honest", "--format", "json"]),
         ],
     )
     def test_run_matches_the_pinned_report(self, pinned, flags, capsys):

@@ -106,6 +106,9 @@ BAD_TRENTS = {
     "kind": TrentStrategy("honest"),
     "policy": TrentStrategy(StrategyKind.ATTACK, "uniform"),
     "honest-with-policy": TrentStrategy(StrategyKind.HONEST, AnnouncementPolicy.UNIFORM_RANDOM),
+    "str": "honest",
+    "none": None,
+    "list": [StrategyKind.HONEST],
 }
 
 
@@ -129,8 +132,9 @@ def test_every_round_entry_point_rejects_a_malformed_strategy(protocol, trent):
 
 @pytest.mark.parametrize(
     "protocol,variant,field",
-    [(3, REVISED, "protocol"), (1, REVISED, "protocol"), (P1, "revised", "variant"), (P2, P1, "variant")],
-    ids=["protocol-3", "protocol-1", "variant-str", "variant-protocol"],
+    [(3, REVISED, "protocol"), (1, REVISED, "protocol"), (P1, "revised", "variant"), (P2, P1, "variant"),
+     ([1], REVISED, "protocol"), (P1, ["revised"], "variant")],
+    ids=["protocol-3", "protocol-1", "variant-str", "variant-protocol", "protocol-list", "variant-list"],
 )
 def test_every_round_entry_point_rejects_a_protocol_or_variant_not_an_enum(protocol, variant, field):
     # before, protocol 3 (or 1) ran as protocol 2, and "revised" raised a KeyError
@@ -182,6 +186,20 @@ class TestDecodeTables:
             for bell in BellOutcome:
                 assert decode(P1, x, bell) in (0, 1)
                 assert decode(P2, bell, x) in (0, 1)
+
+    @pytest.mark.parametrize(
+        "protocol,announcement,measurement,message",
+        [(P2, PLUS, PHI_P, "PROTOCOL_2 announces XOutcome.PLUS with Bob measuring BellOutcome.PHI_PLUS"),
+         (P1, PLUS, PLUS, "PROTOCOL_1 announces XOutcome.PLUS with Bob measuring XOutcome.PLUS"),
+         (P1, [PLUS], PHI_P, r"PROTOCOL_1 announces \[<XOutcome.PLUS: '\+'>\] with Bob"),
+         ([1], PLUS, PHI_P, r"^protocol must be a ProtocolId, got \[1\]"),
+         (2, PHI_P, PLUS, "^protocol must be a ProtocolId, got 2")],
+        ids=["p2-swapped", "p1-two-x", "unhashable-outcome", "unhashable-protocol", "protocol-int"],
+    )
+    def test_a_pair_no_honest_round_yields_raises_value_error(self, protocol, announcement, measurement,
+                                                              message):
+        with pytest.raises(ValueError, match=message):
+            decode(protocol, announcement, measurement)
 
     def test_rejects_a_map_that_is_not_single_valued(self, encoding_rules):
         encoding_rules((Gate.HADAMARD,), (Gate.HADAMARD,))
@@ -1133,6 +1151,11 @@ def test_every_configuration_matches_its_pinned_round_digests():
 
 
 class TestTranscriptValidation:
+    def test_protocol_must_be_a_protocol_id(self):
+        with pytest.raises(ValueError, match="^protocol must be a ProtocolId, got 3"):
+            RoundTranscript(protocol=3, variant=REVISED, sent_bit=0, is_check_bit=False,
+                            trent_announcement=PHI_P, bob_measurement=PLUS, decoded_bit=0)
+
     def test_announcement_type_enforced(self):
         with pytest.raises(ValueError, match="announce"):
             RoundTranscript(
