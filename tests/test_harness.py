@@ -480,6 +480,19 @@ class TestCsv:
         )
         assert report.to_csv().encode() == pinned, pins.versions()
 
+    def test_many_distinct_rows_match_the_pinned_digest(self):
+        # tests/data/run_p1_attack_100k_sessions.sha256 is `sha256sum` of
+        # `qsdc run --protocol 1 --variant original --trent attack --bits
+        # 100000 --repeat 100000 --noise 0.05 --seed 9 --format csv`:
+        # 3,621,561 bytes, 89,706 distinct session rows, labels of one to five digits
+        pinned = (Path(__file__).parent / "data" / "run_p1_attack_100k_sessions.sha256").read_text()
+        report = run_experiment(
+            RunConfig(protocol=P1, variant=ORIGINAL, trent=TrentStrategy.attack(),
+                      message_length=100000, seed=9, rounds_repeat=100000, noise_probability=0.05)
+        )
+        digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+        assert digest == pinned.split()[0], pins.versions()
+
 
 class TestSessionCounts:
     def test_run_and_reports_build_no_session_stats(self, monkeypatch):
