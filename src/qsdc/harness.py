@@ -7,6 +7,7 @@ sampler also reads; its report keeps each session's counts in one array."""
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -146,15 +147,43 @@ class RunReport:
         return json.dumps(payload, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        """One row per session plus a summary row; equal session rows are formatted once."""
-        rows = list(zip(*self.session_counts.T.tolist()))
-        cells = {row: _csv_row(self._cells(*row)) for row in set(rows)}
+        """A header row, one `session_<i>` row per session, then a summary row.
+
+        The session rows are written column by column.  Each column of
+        `session_counts` is deduplicated on its own and `_cells` formats
+        its distinct values once.  All rows are then laid out in one array
+        of fixed-width byte records: `session_`, the index digits, each
+        column's cell picked through its inverse index, and a newline.
+        Records are NUL-padded; no cell holds a NUL, so dropping them all
+        leaves the CSV bytes, which are decoded once."""
+        n = len(self.session_counts)
+        uniques, inverses = zip(*(np.unique(c, return_inverse=True) for c in self.session_counts.T))
+        # _cells takes a whole row, so each column's distinct values are
+        # cycled to the length of the longest and the surplus cells dropped
+        values = [u.tolist() for u in uniques]
+        cells = itertools.islice(map(self._cells, *map(itertools.cycle, values)), max(map(len, values)))
+        tables = [_cell_bytes(column[: len(v)]) for column, v in zip(zip(*cells), values)]
+        digits = len(str(n - 1))
+        columns = [(str(k), table.dtype) for k, table in enumerate(tables)]
+        rows = np.zeros(n, [("prefix", "S8"), ("label", np.uint8, (digits,)), *columns, ("end", "S1")])
+        rows["prefix"] = b"session_"
+        for k in range(digits):
+            # the k-th digit runs through 0-9 in runs of `power`; in the
+            # first `power` labels it is a leading zero, written as a NUL
+            power = 10 ** (digits - 1 - k)
+            cycle = np.repeat(np.arange(ord("0"), ord("9") + 1, dtype=np.uint8), power)
+            rows["label"][:, k] = np.tile(cycle, n // len(cycle) + 1)[:n]
+            if power > 1:
+                rows["label"][:power, k] = 0
+        for (name, _), table, inverse in zip(columns, tables, inverses):
+            rows[name] = table[inverse]
+        rows["end"] = b"\n"
         header = ["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"]
         summary = [self.bob_error_rate, self.abort_fraction, self.trent_guess_accuracy,
                    self.z_equal_fraction]
         return (
             _csv_row(header)
-            + "".join(f"session_{i},{row}" for i, row in enumerate(map(cells.__getitem__, rows)))
+            + rows.tobytes().translate(None, b"\0").decode("ascii")
             + _csv_row(["summary", *summary])
         )
 
@@ -165,6 +194,12 @@ _JSON_FIELDS = tuple(f.name for f in fields(RunReport) if f.name != "session_cou
 def _csv_row(cells: list) -> str:
     """`cells` as one CSV line: `None` an empty cell, any other `str(cell)`; none needs quotes."""
     return ",".join("" if cell is None else str(cell) for cell in cells) + "\n"
+
+
+def _cell_bytes(cells) -> np.ndarray:
+    """Each cell as `,` and its text as `_csv_row` writes it, in one
+    bytes array whose width is the longest (shorter ones NUL-padded)."""
+    return np.array([b"," + (b"" if cell is None else str(cell).encode()) for cell in cells])
 
 
 _Z95 = 1.96  # two-sided 95% standard normal quantile

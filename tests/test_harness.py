@@ -493,6 +493,20 @@ class TestCsv:
         digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
         assert digest == pinned.split()[0], pins.versions()
 
+    @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
+    @pytest.mark.parametrize("sessions", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+    def test_labels_of_every_width_match_the_writer(self, sessions, trent):
+        # session labels gain a digit at 10, 100 and 1000 sessions
+        report = run_experiment(
+            RunConfig(protocol=P1, variant=ORIGINAL, trent=trent, message_length=40,
+                      seed=sessions, rounds_repeat=sessions, noise_probability=0.1)
+        )
+        text = report.to_csv()
+        assert text == reference_csv(report)
+        assert text.count("\nsession_") == sessions
+        assert text.count("\nsummary,") == 1 and text.endswith("\n")
+        assert text.splitlines()[-1].startswith("summary,")
+
 
 class TestSessionCounts:
     def test_run_and_reports_build_no_session_stats(self, monkeypatch):
@@ -669,6 +683,13 @@ class TestBinomialInterval:
         assert binomial_interval(0, 0) == (0.0, 0.0)
         assert binomial_interval(0, 100)[0] == 0.0
         assert binomial_interval(100, 100)[1] == 1.0
+
+    def test_rates_zero_and_one_end_exactly_at_zero_and_one(self):
+        # without its guards the computed end misses 0.0 or 1.0 by a
+        # rounding error, from n = 11 on for the lower end
+        trials = range(1, 10**4 + 1)
+        assert [n for n in trials if binomial_interval(0, n)[0] != 0.0] == []
+        assert [n for n in trials if binomial_interval(n, n)[1] != 1.0] == []
 
     def test_wilson_width_is_positive_at_rate_one(self):
         report = run_experiment(
