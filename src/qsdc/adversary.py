@@ -36,7 +36,11 @@ class TrentStrategy:
 
     def __post_init__(self):
         # hashed once: every cached-model lookup hashes the strategy
-        object.__setattr__(self, "_hash", hash((self.kind, self.announcement_policy)))
+        try:
+            object.__setattr__(self, "_hash", hash((self.kind, self.announcement_policy)))
+        except TypeError:  # only a malformed field is unhashable
+            check_strategy(self)
+            raise
 
     def __hash__(self) -> int:
         return self._hash
@@ -77,11 +81,10 @@ P1_ANNOUNCEMENT = ("measure", "trent", "x", (QUBIT_T,))
 P2_ANNOUNCEMENT = ("measure", "trent", "bell", (QUBIT_A, QUBIT_T))
 
 
-def _check_strategy(trent: TrentStrategy) -> None:
+def check_strategy(trent: TrentStrategy) -> None:
     """Raise ValueError unless `trent` is a TrentStrategy holding a
     StrategyKind with a policy or None, None if honest."""
-    if not isinstance(trent, TrentStrategy):
-        raise ValueError(f"trent must be a TrentStrategy, got {trent!r}")
+    qsim.check_member("trent", trent, TrentStrategy)
     kind, policy = trent.kind, trent.announcement_policy
     if not isinstance(kind, StrategyKind) or not (policy is None or isinstance(policy, AnnouncementPolicy)):
         raise ValueError(f"trent must hold a StrategyKind and a policy or None, got {trent}")
@@ -97,7 +100,7 @@ def trent_steps(trent: TrentStrategy, honest_announcement, default_policy: Annou
     he names none: the honest measurement itself (genuine) or a uniformly
     random outcome of its basis (uniform).
     """
-    _check_strategy(trent)
+    check_strategy(trent)
     if trent.kind is StrategyKind.HONEST:
         return (), honest_announcement
     if (trent.announcement_policy or default_policy) is AnnouncementPolicy.UNIFORM_RANDOM:

@@ -10,7 +10,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import adversary, protocol, qsim
 from .adversary import StrategyKind, TrentStrategy
-from .protocol import EncodingVariant, ProtocolId
+from .protocol import MAX_SESSION_ROUNDS, EncodingVariant, ProtocolId
 from .qsim import BellOutcome, StateVector, XOutcome
 
 SCHEMA_VERSION = 4
@@ -45,38 +44,21 @@ class RunConfig:
     noise_probability: float = 0.0
 
     def __post_init__(self):
-        types = {"protocol": ProtocolId, "variant": EncodingVariant, "trent": TrentStrategy}
-        for name, expected in types.items():
-            value = getattr(self, name)
-            if not isinstance(value, expected):
-                raise ConfigError(f"{name} must be of type {expected.__name__}, got {value!r}")
-        # Accept any integer type except bool; store it as a plain int so
-        # that describe() and the reports serialize it.
-        for name in ("message_length", "seed", "rounds_repeat"):
-            value = getattr(self, name)
-            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-                object.__setattr__(self, name, int(value))
-        if type(self.message_length) is not int or self.message_length < 1:
-            raise ConfigError(f"message_length must be a positive integer, got {self.message_length}")
         try:
-            adversary._check_strategy(self.trent)
-            protocol.check_round_count(self.message_length, self.check_fraction)
-            protocol.check_rate("abort_threshold", self.abort_threshold)
-            protocol.check_rate("noise_probability", self.noise_probability)
+            protocol.check_config(self.protocol, self.variant, self.trent)
+            checked = {
+                "message_length": qsim.check_integer("message_length", self.message_length, 1, MAX_SESSION_ROUNDS),
+                "check_fraction": protocol.check_rate("check_fraction", self.check_fraction),
+                "abort_threshold": protocol.check_rate("abort_threshold", self.abort_threshold),
+                "seed": qsim.check_integer("seed", self.seed, 0, 2**64 - 1),
+                "rounds_repeat": qsim.check_integer("rounds_repeat", self.rounds_repeat, 1, MAX_SESSIONS),
+                "noise_probability": protocol.check_rate("noise_probability", self.noise_probability),
+            }
+            protocol.check_round_count(checked["message_length"], checked["check_fraction"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        # json serializes int and float only; a checked rate of another real
-        # type (np.int64, np.float32, Fraction) is stored as its int or float
-        for name in ("check_fraction", "abort_threshold", "noise_probability"):
-            value = getattr(self, name)
-            value = int(value) if isinstance(value, numbers.Integral) else float(value)
+        for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if type(self.seed) is not int or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if type(self.rounds_repeat) is not int or not 1 <= self.rounds_repeat <= MAX_SESSIONS:
-            raise ConfigError(
-                f"rounds_repeat must be an integer in [1, {MAX_SESSIONS}], got {self.rounds_repeat}"
-            )
         if self.output_format not in ("json", "csv"):
             raise ConfigError(f"output_format must be 'json' or 'csv', got {self.output_format!r}")
 

@@ -87,23 +87,22 @@ class RoundTranscript:
         decode(self.protocol, self.trent_announcement, self.bob_measurement)
 
 
-def _check_real(name: str, value: float) -> None:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
-def check_rate(name: str, value: float) -> None:
-    """Raise ValueError unless `value` is a real number, not a bool, in [0, 1]; NaN fails."""
-    _check_real(name, value)
+def check_rate(name: str, value: float) -> float:
+    """`value` as a plain int or float; raises ValueError unless a real number, not a bool, in [0, 1]."""
+    if type(value) is not float:
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0,1], got {value}")
+    return value
 
 
 def check_round_count(message_length: int, check_fraction: float) -> int:
     """Check rounds for `message_length` message rounds: `check_fraction` of
     all rounds, rounded, at least one.  Raises ValueError unless 0 <
     check_fraction < 1 and the session has at most MAX_SESSION_ROUNDS."""
-    _check_real("check_fraction", check_fraction)
+    check_fraction = check_rate("check_fraction", check_fraction)
     if not 0.0 < check_fraction < 1.0:
         raise ValueError(f"check_fraction must lie in (0,1), got {check_fraction}")
     n_check = max(1, round(message_length * check_fraction / (1.0 - check_fraction)))
@@ -159,8 +158,7 @@ def _check_bit(bit: int) -> int:
 
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
     """Apply Alice's gate sequence for the bit to qubit A."""
-    if not isinstance(variant, EncodingVariant):
-        raise ValueError(f"variant must be an EncodingVariant, got {variant!r}")
+    qsim.check_member("variant", variant, EncodingVariant)
     bit = _check_bit(bit)
     for gate in ENCODING_RULES[variant][bit]:
         state = qsim.apply_gate(state, gate, QUBIT_A)
@@ -173,8 +171,7 @@ def schedule(protocol: ProtocolId, trent: TrentStrategy) -> tuple:
     announcement in the order the protocol makes them.  An attacking
     Trent's default policy is genuine in protocol 1, uniform in protocol 2.
     """
-    if not isinstance(protocol, ProtocolId):
-        raise ValueError(f"protocol must be a ProtocolId, got {protocol!r}")
+    qsim.check_member("protocol", protocol, ProtocolId)
     if protocol is ProtocolId.PROTOCOL_1:
         attack, announce = adversary.trent_steps(
             trent, adversary.P1_ANNOUNCEMENT, AnnouncementPolicy.GENUINE_MEASUREMENT
@@ -220,8 +217,7 @@ def decode(protocol: ProtocolId, announcement, measurement) -> int:
     A protocol that is not a ProtocolId, or a pair no honest round of it
     yields, raises ValueError.
     """
-    if not isinstance(protocol, ProtocolId):
-        raise ValueError(f"protocol must be a ProtocolId, got {protocol!r}")
+    qsim.check_member("protocol", protocol, ProtocolId)
     table = _decode_map(protocol)
     try:
         return table[(announcement, measurement)]
@@ -315,16 +311,21 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
     )
 
 
+def check_config(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> None:
+    """Raise ValueError for the first malformed one of `variant`, `protocol`, `trent`: a round's order."""
+    qsim.check_member("variant", variant, EncodingVariant)
+    qsim.check_member("protocol", protocol, ProtocolId)
+    adversary.check_strategy(trent)
+
+
 def _checked_model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """`_model`, but an unhashable argument raises the ValueError that
-    `encode_bit` or `schedule` gives for it; checked only when the lookup fails."""
+    `check_config` gives for it; checked only when the lookup fails."""
     try:
         return _model(protocol, variant, trent)
-    except TypeError as exc:
-        error = exc
-    encode_bit(variant, 0, qsim.make_ghz())
-    schedule(protocol, trent)
-    raise error
+    except TypeError:
+        check_config(protocol, variant, trent)
+        raise
 
 
 def round_distribution(

@@ -95,6 +95,21 @@ X_VECTORS = {
 }
 
 
+def check_member(name: str, value, kind: type) -> None:
+    """Raise ValueError unless `value` is a `kind`, such as a member of an enum."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+
+
+def check_integer(name: str, value: int, low: int, high: int) -> int:
+    """`value` as a plain int; raises ValueError unless an integer, not a bool, in [low, high]."""
+    integer = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integer and low <= int(value) <= high):
+        raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over 1-3 qubits, copied on construction.
@@ -104,8 +119,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.num_qubits not in (1, 2, 3):
-            raise ValueError(f"num_qubits must be 1, 2 or 3, got {self.num_qubits}")
+        object.__setattr__(self, "num_qubits", check_integer("num_qubits", self.num_qubits, 1, 3))
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (2**self.num_qubits,):
             raise ValueError(
@@ -156,8 +170,7 @@ def _gate_operator(num_qubits: int, gate: Gate, qubit: int) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
     """Apply a single-qubit gate on the given tensor factor."""
-    if not isinstance(gate, Gate):
-        raise ValueError(f"gate must be a Gate, got {gate!r}")
+    check_member("gate", gate, Gate)
     qubit = state._check_qubit(qubit)
     n = state.num_qubits
     # Unitary application preserves the norm; skip re-validation.

@@ -49,6 +49,14 @@ class TestStrategy:
         assert [hash(s) for s in strategies] == hashes
         assert protocol._model(ProtocolId.PROTOCOL_2, REVISED, strategies[-1]) is model
 
+    @pytest.mark.parametrize(
+        "fields", [(StrategyKind.ATTACK, ["uniform"]), (["attack"],)], ids=["policy", "kind"]
+    )
+    def test_an_unhashable_field_raises_the_strategy_check(self, fields):
+        # the cached hash used to raise a bare TypeError that named no field
+        with pytest.raises(ValueError, match="^trent must hold a StrategyKind and a policy or None"):
+            TrentStrategy(*fields)
+
     def test_record_consistency_enforced(self):
         with pytest.raises(ValueError, match="guessed_bit"):
             AttackRecord(

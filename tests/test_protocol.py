@@ -123,18 +123,24 @@ def test_every_round_entry_point_rejects_a_malformed_strategy(protocol, trent):
         "run_round": lambda: run_round(protocol, REVISED, 0, trent, rng()),
         "run_round_statevector": lambda: run_round_statevector(protocol, REVISED, 1, trent, rng()),
         "run_session": lambda: run_session(protocol, ORIGINAL, plan, trent, rng()),
+        "RunConfig": lambda: RunConfig(protocol=protocol, trent=trent),
     }
+    messages = set()
     for name, call in calls.items():
-        with pytest.raises(ValueError, match="^trent"):
+        with pytest.raises(ValueError, match="^trent") as info:
             call()
             pytest.fail(f"{name} accepted {trent}")
+        messages.add(str(info.value))
+    # RunConfig's ConfigError carries the entry points' text
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize(
     "protocol,variant,field",
     [(3, REVISED, "protocol"), (1, REVISED, "protocol"), (P1, "revised", "variant"), (P2, P1, "variant"),
-     ([1], REVISED, "protocol"), (P1, ["revised"], "variant")],
-    ids=["protocol-3", "protocol-1", "variant-str", "variant-protocol", "protocol-list", "variant-list"],
+     ([1], REVISED, "protocol"), (P1, ["revised"], "variant"), (P2, "x", "variant"), (3, "x", "variant")],
+    ids=["protocol-3", "protocol-1", "variant-str", "variant-protocol", "protocol-list", "variant-list",
+         "variant-x", "both"],
 )
 def test_every_round_entry_point_rejects_a_protocol_or_variant_not_an_enum(protocol, variant, field):
     # before, protocol 3 (or 1) ran as protocol 2, and "revised" raised a KeyError
@@ -145,11 +151,16 @@ def test_every_round_entry_point_rejects_a_protocol_or_variant_not_an_enum(proto
         "run_round": lambda: run_round(protocol, variant, 0, honest, rng()),
         "run_round_statevector": lambda: run_round_statevector(protocol, variant, 1, honest, rng()),
         "run_session": lambda: run_session(protocol, variant, plan, honest, rng()),
+        "RunConfig": lambda: RunConfig(protocol=protocol, variant=variant),
     }
+    messages = set()
     for name, call in calls.items():
-        with pytest.raises(ValueError, match=f"^{field}"):
+        with pytest.raises(ValueError, match=f"^{field}") as info:
             call()
             pytest.fail(f"{name} accepted {protocol!r}, {variant!r}")
+        messages.add(str(info.value))
+    # RunConfig's ConfigError carries the entry points' text
+    assert len(messages) == 1, messages
 
 
 class TestDecodeTables:

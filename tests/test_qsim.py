@@ -103,6 +103,18 @@ class TestStateVector:
         with pytest.raises(ValueError, match="num_qubits"):
             StateVector(num_qubits=4, amplitudes=np.ones(16) / 4.0)
 
+    @pytest.mark.parametrize("count", [1.0, 2.0, True, np.True_, "2"], ids=repr)
+    def test_qubit_count_must_be_an_integer(self, count):
+        # 1.0 and 2.0 were accepted, and gates and measurements then failed
+        # inside numpy on the float
+        with pytest.raises(ValueError, match=rf"^num_qubits must be an integer in \[1, 3\], got {count!r}$"):
+            StateVector(num_qubits=count, amplitudes=[1, 0, 0, 0])
+
+    def test_qubit_count_is_stored_as_a_plain_int(self):
+        state = StateVector(num_qubits=np.int64(2), amplitudes=[0, 0, 0, 1])
+        assert type(state.num_qubits) is int and state.num_qubits == 2
+        assert apply_gate(state, Gate.PAULI_X, 1).amplitudes.tolist() == [0, 0, 1, 0]
+
     def test_rejects_amplitudes_of_another_qubit_count(self):
         with pytest.raises(ValueError, match=r"^expected 4 amplitudes, got shape \(8,\)$"):
             StateVector(num_qubits=2, amplitudes=np.ones(8) / np.sqrt(8))
