@@ -7,20 +7,20 @@ import functools
 import os
 import stat
 import sys
+from enum import EnumMeta
 from pathlib import Path
 
-from . import harness
+from . import harness, qsim
 from .adversary import AnnouncementPolicy, StrategyKind, TrentStrategy
 from .harness import ConfigError, RunConfig
 from .protocol import EncodingVariant, ProtocolId
-from .qsim import ATOL
 
 # `run` options: config-file key -> (RunConfig field, parser, help).  Each
 # also makes the flag `--` + key with `_` -> `-`; flag and file values are
-# the same strings, parsed once.  `trent` and `announcement_policy`
-# together make RunConfig.trent.
+# the same strings, parsed once, an enum's by its members' values.  `trent`
+# and `announcement_policy` together make RunConfig.trent.
 _RUN_OPTIONS = {
-    "protocol": ("protocol", lambda value: ProtocolId(int(value)), "1 or 2"),
+    "protocol": ("protocol", ProtocolId, "1 or 2"),
     "variant": ("variant", EncodingVariant, "original or revised"),
     "trent": ("trent", StrategyKind, "honest or attack"),
     "announcement_policy": (
@@ -72,9 +72,13 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     for key, value in values.items():
         field, parse, _ = _RUN_OPTIONS[key]
         try:
-            fields[field] = parse(value)
+            if isinstance(parse, EnumMeta):  # a miss gets the API's text, which names the key
+                fields[field] = {str(member.value): member for member in parse}.get(value, value)
+                qsim.check_member(key, fields[field], parse)
+            else:
+                fields[field] = parse(value)
         except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+            raise ConfigError(str(exc) if isinstance(parse, EnumMeta) else f"{key}: {exc}") from exc
     kind = fields.pop("trent", StrategyKind.HONEST)
     fields["trent"] = TrentStrategy(kind, fields.pop("announcement_policy", None))
     return RunConfig(**fields)
@@ -124,7 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     status = 0
     for eq_id, residual in harness.verify_identities():
-        ok = residual < ATOL
+        ok = residual < qsim.ATOL
         print(f"{eq_id:<6} residual={residual:.3e}  {'ok' if ok else 'FAIL'}")
         if not ok:
             status = 1

@@ -301,34 +301,36 @@ def assemble_computational(coeffs: dict[int, complex]) -> StateVector:
     return StateVector(num_qubits=3, amplitudes=amps)
 
 
-def _after_attack_gates(state: StateVector) -> StateVector:
-    """`state` after the gate steps of Trent's attack."""
-    for step in adversary.ATTACK_STEPS:
-        if step[0] == "gate":
-            state = qsim.apply_gate(state, step[1], step[2])
-    return state
+@functools.cache
+def _right_side(variant: EncodingVariant, bit: int, pair: tuple, single: int) -> tuple:
+    """The paper's pair and attacked forms of one encoded triple, assembled once per Bell pair."""
+    terms, coeffs = _RIGHT_SIDES[variant, bit]
+    return assemble_pair_single(terms, pair, single), assemble_computational(coeffs)
 
 
 def verify_identities() -> list[tuple[str, float]]:
     """Check the paper's sixteen identities against the package's own
-    round: `protocol.encode_bit` on a fresh GHZ triple, expanded over the
-    pair of the Bell step in the honest `protocol.schedule` (A, B in
-    protocol 1, A, T in protocol 2), and that triple after the gate steps
-    of `adversary.ATTACK_STEPS`.  Right sides are assembled amplitude by
-    amplitude.  eq1..eq16 run protocol 1 then 2, original then revised;
-    within each, the pair form of bit 0 and 1, then the attacked form of
-    bit 0 and 1.  Returns (identity id, residual 1 - fidelity) pairs."""
+    round: `protocol.encode_bit` on one GHZ triple, expanded over the pair
+    of the Bell step in the honest `protocol.schedule` (A, B in protocol
+    1, A, T in protocol 2), and that triple after the gate steps of
+    `adversary.ATTACK_STEPS`, each built once per call; the right sides
+    are assembled once (`_right_side`).  eq1..eq16 run protocol 1 then 2,
+    original then revised; within each, the pair form of bit 0 and 1, then
+    the attacked form of bit 0 and 1.  Returns (id, residual 1 - fidelity)."""
+    ghz = qsim.make_ghz()
+    # per variant: bits 0 and 1 encoded, then both after the attack's gates
+    lhs = {v: [protocol.encode_bit(v, bit, ghz) for bit in (0, 1)] * 2 for v in EncodingVariant}
+    for _, gate, qubit in (step for step in adversary.ATTACK_STEPS if step[0] == "gate"):
+        for states in lhs.values():
+            states[2:] = [qsim.apply_gate(state, gate, qubit) for state in states[2:]]
     results = []
     for p in ProtocolId:
         steps = protocol.schedule(p, TrentStrategy.honest())
         pair = next(step[3] for step in steps if step[0] == "measure" and step[2] == "bell")
         single = ({0, 1, 2} - set(pair)).pop()
         for v in EncodingVariant:
-            lhs = [protocol.encode_bit(v, bit, qsim.make_ghz()) for bit in (0, 1)]
-            lhs += [_after_attack_gates(state) for state in lhs]
-            rhs = [assemble_pair_single(_RIGHT_SIDES[v, bit][0], pair, single) for bit in (0, 1)]
-            rhs += [assemble_computational(_RIGHT_SIDES[v, bit][1]) for bit in (0, 1)]
-            for left, right in zip(lhs, rhs):
+            pair_forms, attacked_forms = zip(*(_right_side(v, bit, pair, single) for bit in (0, 1)))
+            for left, right in zip(lhs[v], pair_forms + attacked_forms):
                 results.append((f"eq{len(results) + 1}", 1.0 - qsim.fidelity(left, right)))
     return results
 

@@ -18,8 +18,8 @@ probabilities (`round_distribution`); every transcript, four per branch
 and the outcome classes `harness.run_experiment` draws from.  The
 samplers only draw a branch and pick its shared transcript by index:
 `run_round_statevector` walks the round's table and `run_round` the
-one-level one, both with `qsim.walk`; `run_session` indexes the
-one-level table's kids, as `qsim.walk` does, for all rounds at once.
+one-level one, both with `qsim.walk`; `run_session` searches its sums,
+cached as arrays beside each kid's transcript index, for all rounds at once.
 `decode` reads Bob's rule off the honest branches, whose rows
 `harness.emit_tables` prints.
 
@@ -244,6 +244,7 @@ class _Model(NamedTuple):
     # per bit: the one-level walk table over the branches, (running sums of
     # their probabilities, 1.0, branch indices padded with the last)
     joint: tuple
+    draw: tuple  # per bit: `joint`'s running sums and each kid's offset[bit] + 4 * kid, as read-only arrays
     branches: tuple  # per bit: its RoundBranches, in `qsim.schedule_branches` order
     offset: tuple  # per bit: index of its first transcript
     # both bits' RoundTranscripts end to end in a read-only object array, each
@@ -261,7 +262,7 @@ class _Model(NamedTuple):
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
     raises unless each bit's branches sum to 1."""
-    walks, joint, branches, offset, transcripts = [], [], [], [], []
+    walks, joint, draw, branches, offset, transcripts = [], [], [], [], [], []
     # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
@@ -292,6 +293,8 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         walks.append(table)
         kids = tuple(range(len(bit_branches)))
         joint.append((tuple(np.cumsum([b.probability for b in bit_branches])), 1.0, kids + kids[-1:]))
+        sums, first = np.array(joint[-1][0]), offset[-1] + 4 * np.array(kids + kids[-1:])
+        draw.append((qsim._read_only(sums), qsim._read_only(first)))
         branches.append(tuple(bit_branches))
     wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
     # the probabilities sum to 1 only up to rounding
@@ -303,6 +306,7 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
     return _Model(
         walks=tuple(walks),
         joint=tuple(joint),
+        draw=tuple(draw),
         branches=tuple(branches),
         offset=tuple(offset),
         transcripts=qsim._read_only(np.array(transcripts, dtype=object)),
@@ -405,18 +409,19 @@ def run_session(
     """Play out the plan's rounds and evaluate the check-bit error rate.
 
     All rounds are sampled at once: one `rng.random(n)` for the n rounds'
-    branches, each picked from its bit's exact table as `run_round` does,
-    then, only when `noise_probability` > 0, one `rng.random(n)` for the
-    noise.  `noise_probability` is an optional classical channel-noise
-    knob: each decoded bit is independently flipped with that probability,
+    branches, each uniform searched in both bits' cached running sums and
+    the round's bit picking the branch `run_round` draws on it; then, only
+    when `noise_probability` > 0, one `rng.random(n)` for the noise.
+    `noise_probability` is an optional classical channel-noise knob: each
+    decoded bit is independently flipped with that probability,
     exercising the abort path without touching the quantum model.  Every
     round returns one of the four transcripts the cached model holds for
     its branch (message or check, each unflipped or flipped), the unflipped
-    ones being those `run_round` returns, so a session builds none.
-    A plan without check rounds is rejected, since it would pass
-    unchecked, and so is a rate `check_rate` rejects: a NaN or a bool too.
-    So is a plan whose fields are not 1-D arrays of one length with bool
-    check flags: integer flags would index another branch's transcript.
+    ones being those `run_round` returns, so a session builds none.  A
+    rate is used as the number `check_rate` returns, and one it rejects
+    (a NaN, a bool) is rejected.  So is a plan without check rounds, which
+    would pass unchecked, or whose fields are not 1-D arrays of one length
+    with bool check flags: integer flags would index another's transcript.
     """
     if not (isinstance(plan.bits, np.ndarray) and isinstance(plan.is_check, np.ndarray)
             and plan.bits.ndim == plan.is_check.ndim == 1 and plan.is_check.dtype == bool):
@@ -427,20 +432,17 @@ def run_session(
         raise ValueError("session plan has no check rounds")
     if not ((plan.bits == 0) | (plan.bits == 1)).all():
         raise ValueError("session plan bits must be 0 or 1")
-    check_rate("noise_probability", noise_probability)
-    check_rate("abort_threshold", abort_threshold)
+    noise_probability = check_rate("noise_probability", noise_probability)
+    abort_threshold = check_rate("abort_threshold", abort_threshold)
 
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
     model = _checked_model(protocol, variant, trent)
-    # Each round's index in the model's transcripts.
-    index = 2 * plan.is_check + flipped
-    for bit in (0, 1):
-        rounds = plan.bits == bit
-        cumulative, _, kids = model.joint[bit]
-        branch = np.take(kids, np.searchsorted(cumulative, uniforms[rounds], side="right"))
-        index[rounds] += model.offset[bit] + 4 * branch
+    # Each round's index in the model's transcripts: its branch's first
+    # under either bit, picked by its bit, then its role and flip.
+    first = [base[np.searchsorted(cumulative, uniforms, side="right")] for cumulative, base in model.draw]
+    index = np.where(plan.bits == 1, first[1], first[0]) + 2 * plan.is_check + flipped
     transcripts = model.transcripts[index].tolist()
     error_rate = float(np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check))
     abort = bool(error_rate > abort_threshold)

@@ -104,6 +104,30 @@ def test_verify_reads_the_attack_steps(monkeypatch):
     ]
 
 
+def test_verify_reuses_the_right_sides(monkeypatch):
+    # after one call every right side comes from the cache, and only those:
+    # the left sides and residuals are computed anew on each call
+    verify_identities()
+
+    def refuse(*args):
+        raise AssertionError("a right side was assembled again")
+
+    monkeypatch.setattr(harness, "assemble_pair_single", refuse)
+    monkeypatch.setattr(harness, "assemble_computational", refuse)
+    results = verify_identities()
+    assert len(results) == 16
+    assert all(residual < ATOL for _, residual in results)
+
+
+def test_verify_caches_no_result(monkeypatch):
+    # residuals under a broken encoding rule do not outlive the rule
+    with monkeypatch.context() as patch:
+        patch.setitem(protocol.ENCODING_RULES[EncodingVariant.REVISED], 1, (Gate.PAULI_X, Gate.HADAMARD))
+        assert _failing_identities() == ["eq6", "eq8", "eq14", "eq16"]
+    assert len(verify_identities()) == 16
+    assert _failing_identities() == []
+
+
 def _tensordot_pair_single(terms, pair, single_qubit):
     """`assemble_pair_single` as first written: each term an outer product
     by `np.tensordot(..., axes=0)`, its axes moved by `np.moveaxis`."""

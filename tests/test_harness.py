@@ -792,6 +792,21 @@ class TestCli:
         assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize(
+        "flag,message",
+        [
+            (["--protocol", "3"], "protocol must be a ProtocolId, got '3'"),
+            (["--variant", "x"], "variant must be an EncodingVariant, got 'x'"),
+            (["--trent", "spy"], "trent must be a StrategyKind, got 'spy'"),
+            (["--announcement-policy", "y"], "announcement_policy must be an AnnouncementPolicy, got 'y'"),
+        ],
+        ids=["protocol", "variant", "trent", "announcement-policy"],
+    )
+    def test_bad_enum_value_gets_the_api_message(self, capsys, flag, message):
+        # the CLI and RunConfig give one bad value one text
+        assert cli.main(["run", *flag]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flags",
         [["--trent", "honest", "--announcement-policy", "uniform"], ["--announcement-policy", "genuine"]],
         ids=" ".join,

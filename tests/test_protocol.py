@@ -805,6 +805,16 @@ class TestRunSession:
             _, error_rate, abort = run_session(P1, ORIGINAL, plan, trent, rng(49), abort_threshold=threshold)
             assert type(error_rate) is float and type(abort) is bool
 
+    @pytest.mark.parametrize("value", [Fraction(1, 10), np.float32(0.1)], ids=["Fraction", "float32"])
+    def test_rates_act_as_the_float_check_rate_returns(self, value):
+        # a Fraction noise rate was compared with every round's uniform as a
+        # Python object: 4.4 ms against 1 us for 2000 rounds
+        plan = SessionPlan.build(rng(50).integers(0, 2, 300), 0.5, rng(51))
+        for trent in (TrentStrategy.honest(), TrentStrategy.attack()):
+            got = run_session(P1, ORIGINAL, plan, trent, rng(52), value, value)
+            assert got == run_session(P1, ORIGINAL, plan, trent, rng(52), float(value), float(value))
+            assert type(got[1]) is float and type(got[2]) is bool
+
     def test_message_withheld_on_abort(self):
         assert extract_message([], True) is None
 
@@ -868,19 +878,29 @@ class TestRunSession:
         reference.random(draws_per_round * plan.bits.size)
         assert generator.random() == reference.random()
 
+    @pytest.mark.parametrize("noise", [0.0, 0.3])
+    @pytest.mark.parametrize("trent", TRENTS.values(), ids=list(TRENTS))
     @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
-    def test_bulk_branch_choice_matches_run_round(self, protocol, variant):
+    def test_bulk_branch_choice_matches_run_round(self, protocol, variant, trent, noise):
         # run_session on given uniforms picks, round by round, the branch
-        # run_round picks on the same uniform, edges of the table included
-        trent = TrentStrategy.attack()
+        # run_round picks on the same uniform, edges of the table included,
+        # then flips its decoded bit when the round's noise uniform is below
+        # the rate; the bits interleave, so each round reads its own bit's table
         plan = SessionPlan.build(rng(39).integers(0, 2, 200), 0.5, rng(40))
         edges = [u for bit in (0, 1) for u in round_distribution(protocol, variant, bit, trent)[0]]
         uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, rng(41).random(plan.bits.size)])
         uniforms = uniforms[: plan.bits.size]
-        transcripts, _, _ = run_session(protocol, variant, plan, trent, _Uniforms(uniforms))
+        # a noiseless session leaves the flip uniforms undrawn
+        flips = rng(42).random(plan.bits.size)
+        draws = _Uniforms(np.concatenate([uniforms, flips]))
+        transcripts, _, _ = run_session(protocol, variant, plan, trent, draws, noise_probability=noise)
         expected = [
             run_round(protocol, variant, bit, trent, _Uniforms([u]), is_check_bit=check)
             for bit, check, u in zip(plan.bits.tolist(), plan.is_check.tolist(), uniforms.tolist())
+        ]
+        expected = [
+            dataclasses.replace(t, decoded_bit=1 - t.decoded_bit) if flip < noise else t
+            for t, flip in zip(expected, flips.tolist())
         ]
         assert transcripts == expected
         # rounds with equal transcripts share one object
