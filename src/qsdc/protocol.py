@@ -18,8 +18,9 @@ probabilities (`round_distribution`); every transcript, four per branch
 and the outcome classes `harness.run_experiment` draws from.  The
 samplers only draw a branch and pick its shared transcript by index:
 `run_round_statevector` walks the round's table and `run_round` the
-one-level one, both with `qsim.walk`; `run_session` searches its sums,
-cached as arrays beside each kid's transcript index, for all rounds at once.
+one-level one, both with `qsim.walk`; `run_session` reads all rounds'
+branches at once from a guide table over the one-level sums, cached in the
+model, which takes each uniform to the same branch without a search.
 `decode` reads Bob's rule off the honest branches, whose rows
 `harness.emit_tables` prints.
 
@@ -48,10 +49,16 @@ class ProtocolId(Enum):
     PROTOCOL_1 = 1
     PROTOCOL_2 = 2
 
+    # members are singletons compared by identity; Enum.__hash__ runs in
+    # Python on every model-cache lookup
+    __hash__ = object.__hash__
+
 
 class EncodingVariant(Enum):
     ORIGINAL = "original"
     REVISED = "revised"
+
+    __hash__ = object.__hash__
 
 
 # bit -> ordered gate list on qubit A (applied left to right; Pauli first).
@@ -67,6 +74,9 @@ ENCODING_RULES = {
 }
 
 MAX_SESSION_ROUNDS = 10**8  # message plus check rounds in one session
+# buckets per bit of `run_session`'s guide table: a power of two, so u * K
+# is exact and so is every bucket edge j / K
+GUIDE_BUCKETS = 64
 
 @dataclass(frozen=True)
 class RoundTranscript:
@@ -244,7 +254,9 @@ class _Model(NamedTuple):
     # per bit: the one-level walk table over the branches, (running sums of
     # their probabilities, 1.0, branch indices padded with the last)
     joint: tuple
-    draw: tuple  # per bit: `joint`'s running sums and each kid's offset[bit] + 4 * kid, as read-only arrays
+    # `run_session`'s guide table over both bits' running sums, as read-only
+    # arrays (guide, inner, first); see `_first_transcripts`
+    lookup: tuple
     branches: tuple  # per bit: its RoundBranches, in `qsim.schedule_branches` order
     offset: tuple  # per bit: index of its first transcript
     # both bits' RoundTranscripts end to end in a read-only object array, each
@@ -258,11 +270,29 @@ class _Model(NamedTuple):
     classes: tuple
 
 
+def _guide_table(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per bucket j of [0, 1), K = GUIDE_BUCKETS: the count of the
+    ascending `sums` at or below j / K, and the one sum strictly inside
+    (j / K, (j + 1) / K), or 2.0 when there is none.  Raises when a bucket
+    holds two sums, whose order one comparison could not tell."""
+    scaled = sums * GUIDE_BUCKETS
+    inside = (sums < 1.0) & (scaled != np.floor(scaled))
+    buckets = scaled[inside].astype(np.intp)
+    # ascending; not np.unique, whose first call imports numpy.ma (8 ms and 1.7 MiB, numpy 2.4)
+    if (buckets[1:] == buckets[:-1]).any():
+        raise AssertionError(f"two running sums share a 1/{GUIDE_BUCKETS} guide bucket")
+    inner = np.full(GUIDE_BUCKETS, 2.0)
+    inner[buckets] = sums[inside]
+    return np.searchsorted(sums, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right"), inner
+
+
 @functools.cache
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
-    raises unless each bit's branches sum to 1."""
-    walks, joint, draw, branches, offset, transcripts = [], [], [], [], [], []
+    raises unless each bit's branches sum to 1 and no open guide bucket
+    (j/K, (j+1)/K) holds two of a bit's running sums."""
+    walks, joint, branches, offset, transcripts = [], [], [], [], []
+    guide, inner, first = [], [], []
     # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
@@ -293,25 +323,29 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         walks.append(table)
         kids = tuple(range(len(bit_branches)))
         joint.append((tuple(np.cumsum([b.probability for b in bit_branches])), 1.0, kids + kids[-1:]))
-        sums, first = np.array(joint[-1][0]), offset[-1] + 4 * np.array(kids + kids[-1:])
-        draw.append((qsim._read_only(sums), qsim._read_only(first)))
+        below, bit_inner = _guide_table(np.array(joint[-1][0]))
+        guide.append(len(first) + below)
+        inner.append(bit_inner)
+        first += [offset[-1] + 4 * kid for kid in kids + kids[-1:]]
         branches.append(tuple(bit_branches))
-    wrong, hit, equal = (np.array(flags) for flags in zip(*classes))
+    wrong, hit, equal = (qsim._read_only(np.array(flags)) for flags in zip(*classes))
     # the probabilities sum to 1 only up to rounding
     p_class = np.array([sum(p for p, _ in members) for members in classes.values()])
     cells = []
     for members in classes.values():
         p_cell = np.array([p for p, _ in members])
-        cells.append((tuple(label for _, label in members), p_cell / p_cell.sum()))
+        cells.append((tuple(label for _, label in members), qsim._read_only(p_cell / p_cell.sum())))
     return _Model(
         walks=tuple(walks),
         joint=tuple(joint),
-        draw=tuple(draw),
+        lookup=(qsim._read_only(np.concatenate(guide)), qsim._read_only(np.concatenate(inner)),
+                qsim._read_only(np.array(first))),
         branches=tuple(branches),
         offset=tuple(offset),
         transcripts=qsim._read_only(np.array(transcripts, dtype=object)),
-        check_error=np.array([t.is_check_bit and t.decoded_bit != t.sent_bit for t in transcripts]),
-        classes=(wrong, hit, equal, p_class / p_class.sum(), tuple(cells)),
+        check_error=qsim._read_only(
+            np.array([t.is_check_bit and t.decoded_bit != t.sent_bit for t in transcripts])),
+        classes=(wrong, hit, equal, qsim._read_only(p_class / p_class.sum()), tuple(cells)),
     )
 
 
@@ -397,6 +431,20 @@ def run_round(
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 
+def _first_transcripts(lookup: tuple, bits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Per round, the first transcript index of the branch `run_round`
+    takes on its uniform u in [0, 1) for its bit, from the model's guide
+    table (Chen and Asau's indexed search).  u lies in bucket jj = bit * K
+    + floor(u * K), K = GUIDE_BUCKETS, whose slot in `first` is `guide[jj]`
+    (past the bit's sums at or below the bucket's lower edge), plus one
+    when u reaches `inner[jj]`: `bisect_right`'s slot, since u * K is
+    exact.  jj is an np.intp, since K times an int8 bit could overflow."""
+    guide, inner, first = lookup
+    jj = np.multiply(bits, GUIDE_BUCKETS, dtype=np.intp)
+    jj += (uniforms * GUIDE_BUCKETS).astype(np.intp)
+    return first[guide[jj] + (uniforms >= inner[jj])]
+
+
 def run_session(
     protocol: ProtocolId,
     variant: EncodingVariant,
@@ -409,9 +457,12 @@ def run_session(
     """Play out the plan's rounds and evaluate the check-bit error rate.
 
     All rounds are sampled at once: one `rng.random(n)` for the n rounds'
-    branches, each uniform searched in both bits' cached running sums and
-    the round's bit picking the branch `run_round` draws on it; then, only
-    when `noise_probability` > 0, one `rng.random(n)` for the noise.
+    branches, each uniform taken to the branch `run_round` draws on it for
+    the round's bit by the model's guide table (`_first_transcripts`: one
+    bucket read and one comparison, no search); then, only when
+    `noise_probability` > 0, one `rng.random(n)` for the noise.  The
+    configuration is checked before the first draw, so a rejected call
+    leaves `rng` where it was.
     `noise_probability` is an optional classical channel-noise knob: each
     decoded bit is independently flipped with that probability,
     exercising the abort path without touching the quantum model.  Every
@@ -421,11 +472,13 @@ def run_session(
     rate is used as the number `check_rate` returns, and one it rejects
     (a NaN, a bool) is rejected.  So is a plan without check rounds, which
     would pass unchecked, or whose fields are not 1-D arrays of one length
-    with bool check flags: integer flags would index another's transcript.
+    with integer bits and bool check flags: integer flags would index
+    another's transcript, and the guide table reads integer bits only.
     """
     if not (isinstance(plan.bits, np.ndarray) and isinstance(plan.is_check, np.ndarray)
-            and plan.bits.ndim == plan.is_check.ndim == 1 and plan.is_check.dtype == bool):
-        raise ValueError("session plan needs 1-D numpy arrays of bits and of bool check flags")
+            and plan.bits.ndim == plan.is_check.ndim == 1 and plan.bits.dtype.kind in "biu"
+            and plan.is_check.dtype == bool):
+        raise ValueError("session plan needs 1-D numpy arrays of integer bits and of bool check flags")
     if plan.bits.shape != plan.is_check.shape:
         raise ValueError(f"plan has {plan.bits.size} bits but {plan.is_check.size} check flags")
     if not plan.is_check.any():
@@ -434,15 +487,14 @@ def run_session(
         raise ValueError("session plan bits must be 0 or 1")
     noise_probability = check_rate("noise_probability", noise_probability)
     abort_threshold = check_rate("abort_threshold", abort_threshold)
+    # before any draw, so a rejected configuration leaves `rng` untouched
+    model = _checked_model(protocol, variant, trent)
 
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
-    model = _checked_model(protocol, variant, trent)
-    # Each round's index in the model's transcripts: its branch's first
-    # under either bit, picked by its bit, then its role and flip.
-    first = [base[np.searchsorted(cumulative, uniforms, side="right")] for cumulative, base in model.draw]
-    index = np.where(plan.bits == 1, first[1], first[0]) + 2 * plan.is_check + flipped
+    # Each round's index in the model's transcripts: its branch's first, then its role and flip.
+    index = _first_transcripts(model.lookup, plan.bits, uniforms) + 2 * plan.is_check + flipped
     transcripts = model.transcripts[index].tolist()
     error_rate = float(np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check))
     abort = bool(error_rate > abort_threshold)

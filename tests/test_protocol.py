@@ -763,8 +763,12 @@ class TestRunSession:
             ([0, 1, 1], [True, False, False]),
             (np.zeros(3, np.int8), [True, False, False]),
             (np.zeros((1, 3), np.int8), np.array([[True, False, False]])),
+            # the guide lookup indexes with the bits: without the dtype check
+            # these raised a UFuncTypeError from numpy
+            (np.zeros(3), np.array([True, False, False])),
+            (np.zeros(3, object), np.array([True, False, False])),
         ],
-        ids=["int-flags-2", "int-flags-1", "lists", "list-flags", "2-D"],
+        ids=["int-flags-2", "int-flags-1", "lists", "list-flags", "2-D", "float-bits", "object-bits"],
     )
     def test_plan_fields_must_be_1d_arrays_with_bool_flags(self, bits, is_check):
         plan = SessionPlan(bits=bits, is_check=is_check)
@@ -888,6 +892,8 @@ class TestRunSession:
         # the rate; the bits interleave, so each round reads its own bit's table
         plan = SessionPlan.build(rng(39).integers(0, 2, 200), 0.5, rng(40))
         edges = [u for bit in (0, 1) for u in round_distribution(protocol, variant, bit, trent)[0]]
+        edges += guide_edges(edges)
+        assert len(edges) + 2 < plan.bits.size
         uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, rng(41).random(plan.bits.size)])
         uniforms = uniforms[: plan.bits.size]
         # a noiseless session leaves the flip uniforms undrawn
@@ -905,6 +911,85 @@ class TestRunSession:
         assert transcripts == expected
         # rounds with equal transcripts share one object
         assert len({id(t) for t in transcripts}) == len(set(transcripts))
+
+    @pytest.mark.parametrize("trent", TRENTS.values(), ids=list(TRENTS))
+    @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
+    def test_guide_lookup_equals_a_search_of_the_sums(self, protocol, variant, trent):
+        # the search the guide table replaced, kept here as the oracle, on
+        # both sides of every running sum and bucket edge
+        model = protocol_module._model(protocol, variant, trent)
+        sums = [u for bit in (0, 1) for u in model.joint[bit][0]]
+        uniforms = np.array([0.0, np.nextafter(1.0, 0.0)] + sums + guide_edges(sums))
+        for bit in (0, 1):
+            bit_sums, _, kids = model.joint[bit]
+            bits = np.full(uniforms.size, bit, dtype=np.int8)
+            got = protocol_module._first_transcripts(model.lookup, bits, uniforms)
+            expected = model.offset[bit] + 4 * np.array(kids)[np.searchsorted(bit_sums, uniforms, side="right")]
+            assert got.tolist() == expected.tolist(), bit
+
+    @pytest.mark.parametrize(
+        "sums",
+        [[0.25, 0.5, 0.75, 1.0], [1 / 64, 0.5, 63 / 64, 1.0 + 2**-52], [0.1, 0.3, 0.6, 1.0 - 2**-53],
+         [2**-60, 1 / 64 + 2**-59, 0.5 - 2**-54, 0.5, 1.0 - 2**-10]],
+        ids=["on-edges", "edges-and-past-1", "inside", "at-both-ends-of-buckets"],
+    )
+    def test_guide_table_equals_a_search_on_any_sums(self, sums):
+        # sums on bucket edges, as the protocol's own tables do not have
+        below, inner = protocol_module._guide_table(np.array(sums))
+        slots = (below, inner, np.arange(len(sums) + 1))
+        uniforms = np.array([0.0, np.nextafter(1.0, 0.0)] + [u for u in sums if u < 1.0] + guide_edges(sums))
+        uniforms = uniforms[uniforms < 1.0]
+        got = protocol_module._first_transcripts(slots, np.zeros(uniforms.size, np.int8), uniforms)
+        assert got.tolist() == np.searchsorted(sums, uniforms, side="right").tolist()
+
+    def test_guide_table_rejects_two_sums_in_one_bucket(self):
+        with pytest.raises(AssertionError, match="share a 1/64 guide bucket"):
+            protocol_module._guide_table(np.array([0.26, 0.261, 1.0]))
+
+    def test_rejected_configuration_leaves_the_generator_untouched(self):
+        plan = SessionPlan.build([0, 1] * 20, 0.5, rng())
+        calls = [(3, REVISED, TrentStrategy.honest()), (P1, "revised", TrentStrategy.honest()),
+                 (P1, REVISED, "honest"), ([1], REVISED, TrentStrategy.honest())]
+        for protocol, variant, trent in calls:
+            generator = rng(53)
+            with pytest.raises(ValueError):
+                run_session(protocol, variant, plan, trent, generator)
+            assert generator.random() == rng(53).random()
+
+    def test_model_arrays_are_read_only(self):
+        # a write into a cached array would change every later session and
+        # report of that configuration in the process
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+                if value.dtype == object:
+                    for item in value.flat:
+                        yield from arrays(item)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from arrays(item)
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from arrays(item)
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    yield from arrays(getattr(value, field.name))
+
+        for protocol, variant in ALL_COMBOS:
+            for name, trent in TRENTS.items():
+                found = list(arrays(protocol_module._model(protocol, variant, trent)))
+                # transcripts, check_error, three lookup, four class and one cell array at least
+                assert len(found) >= 10
+                assert not any(a.flags.writeable for a in found), (protocol, variant, name)
+
+
+def guide_edges(sums) -> list[float]:
+    """Uniforms beside the edges of a guide table over `sums`: the float on
+    either side of every sum, and every bucket edge j/K with the float just
+    below it."""
+    k = protocol_module.GUIDE_BUCKETS
+    beside = [float(np.nextafter(u, toward)) for u in sums for toward in (0.0, 1.0)]
+    return beside + [u for j in range(k) for u in (j / k, float(np.nextafter(j / k, 0.0)))]
 
 
 class _Uniforms:
