@@ -11,8 +11,8 @@ trent)`, with Trent's steps from `adversary.trent_steps`; the rest is
 derived from it.  Per (protocol, variant, bit, strategy) one pass of
 `qsim.schedule_branches` lists the round's exact branches and builds
 their walk table, and both bits make one cached model per (protocol,
-variant, strategy): per bit the walk table, the branches and a
-one-level walk table over them, which holds their cumulative
+variant, strategy): per bit the walk table, its depth, the branches and
+a one-level walk table over them, which holds their cumulative
 probabilities (`round_distribution`); every transcript, four per branch
 (message or check round, decoded bit as measured or flipped by noise);
 and the outcome classes `harness.run_experiment` draws from.  The
@@ -250,7 +250,7 @@ class _Model(NamedTuple):
     """One (protocol, variant, strategy) configuration, built once from the
     exact branches of both bits; a "per bit" field is indexed by bit."""
 
-    walks: tuple  # per bit: the round's walk table, whose leaves are branch indices
+    walks: tuple  # per bit: (the round's walk table, whose leaves are branch indices, its depth)
     # per bit: the one-level walk table over the branches, (running sums of
     # their probabilities, 1.0, branch indices padded with the last)
     joint: tuple
@@ -320,7 +320,7 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         total = sum(b.probability for b in bit_branches)
         if abs(total - 1.0) > 1e-9:
             raise AssertionError(f"branch probabilities sum to {total}")
-        walks.append(table)
+        walks.append((table, qsim.schedule_depth(schedule(protocol, trent))))
         kids = tuple(range(len(bit_branches)))
         joint.append((tuple(np.cumsum([b.probability for b in bit_branches])), 1.0, kids + kids[-1:]))
         below, bit_inner = _guide_table(np.array(joint[-1][0]))
@@ -391,18 +391,18 @@ def run_round_statevector(
     """Execute one full round on a fresh GHZ triple by walking the
     round's state-vector branches.
 
-    `qsim.walk` draws the branch from the round's walk table: one
-    `rng.random()` per measurement against the Born probabilities of the
-    state it measures, one `rng.integers` per random step, in time
-    order, exactly as `qsim.sample_schedule` draws, since it walks a
-    table `qsim.schedule_branches` builds too.  The table is built once
-    with the branches, so a round does little more than its draws.
+    `qsim.walk` takes the branch from the round's walk table on one
+    `rng.random(depth)` call: a uniform per measurement, against the Born
+    probabilities of the state it measures, and per random step, in time
+    order, exactly as `qsim.sample_schedule` draws.  The table and its
+    depth are built once with the branches, so a round is one draw.
     This is the reference `run_round` is checked against: the two differ
     only in how they draw the branch whose shared transcript they return.
     """
     bit = _check_bit(bit)
     model = _checked_model(protocol, variant, trent)
-    branch = qsim.walk(model.walks[bit], rng)
+    table, depth = model.walks[bit]
+    branch = qsim.walk(table, rng.random(depth).tolist())
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 
@@ -420,14 +420,13 @@ def run_round(
     `round_distribution`) with one `rng.random()`, walking the one-level
     table over its branches with `qsim.walk`, and returns the branch's
     shared transcript, the one `run_round_statevector` returns for it.
-    `run_round_statevector` walks the same branches with one draw per
-    measurement or random step instead: the two are distributionally
-    identical, and this one makes one draw instead of two to four.
+    `run_round_statevector` walks the same branches on a uniform per
+    measurement or random step: the two are distributionally identical.
     `run_session` samples a whole session at a fraction of this cost.
     """
     bit = _check_bit(bit)
     model = _checked_model(protocol, variant, trent)
-    branch = qsim.walk(model.joint[bit], rng)
+    branch = qsim.walk(model.joint[bit], (rng.random(),))
     return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
 
 

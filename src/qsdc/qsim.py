@@ -19,12 +19,13 @@ that lists every branch with its joint probability and builds the walk
 table of the same branches.  An outcome is possible only when its Born
 probability exceeds ATOL: smaller ones are rounding residue of exact
 zeros, so no branch has them and `measure_*` never returns them.
-`walk` is the one rule that turns uniform draws into an outcome or a
-branch: `measure_*` walk the one-level node `_born` builds from a
-measurement's probabilities, and `schedule_branches` nests the same
-nodes into a schedule's table, one draw per measurement or random step.
-`sample_schedule` walks a schedule's table and returns the leaf's
-outcomes and final state: the one runner of a schedule.
+`walk` is the one rule that turns uniforms into an outcome or a branch,
+over one node kind: `measure_*` walk the node `_born` builds from a
+measurement's probabilities, and `schedule_branches` nests such nodes,
+a random step's of n outcomes at 1/n, into a schedule's table, which
+takes one uniform per measurement or random step.  `sample_schedule`
+draws them in one call, walks the table and returns the leaf's outcomes
+and final state: the one runner of a schedule.
 """
 from __future__ import annotations
 
@@ -263,10 +264,8 @@ def _born(probs: np.ndarray) -> tuple[tuple[float, ...], float, tuple[int, ...]]
 
     An outcome is possible when its probability exceeds ATOL; below that
     it is rounding residue of an exact zero (about 1e-33 in the protocol
-    rounds) and never drawn.  `walk` picks the first possible outcome
-    whose cumulative probability exceeds the draw times the total; the
-    pad is the last possible one, for a draw that rounding leaves past
-    every cumulative sum."""
+    rounds) and never drawn.  The pad takes a draw that rounding leaves
+    past every cumulative sum."""
     weights = probs.tolist()
     support = [i for i, p in enumerate(weights) if p > ATOL]
     if not support:
@@ -279,7 +278,7 @@ def _sample_projective(state, basis, qubits, rng):
     """Born-rule sampling over a complete projective family.  Only the
     sampled branch's post-state is materialized."""
     probs, collapse = _project(state, basis, qubits)
-    idx = walk(_born(probs), rng)
+    idx = walk(_born(probs), (rng.random(),))
     return OUTCOMES[basis][idx], collapse(idx)
 
 
@@ -315,8 +314,8 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
     second's, each in alphabet order.  `table` is the tree of the same
     branches as nested tuples, read by `walk`: a measurement is its
     `_born` node with each outcome index replaced by the subtable of
-    that outcome; a random step is (None, n, kids); a leaf is its
-    branch's index in `branches`.
+    that outcome, and a random step over n symbols is the node of n
+    outcomes at 1/n; a leaf is its branch's index in `branches`.
     """
     branches = []
 
@@ -330,39 +329,41 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
         if step[0] == "measure":
             _, role, basis, qubits = step
             probs, collapse = _project(state, basis, qubits)
-            cumulative, total, picks = _born(probs)
-            weights = probs.tolist()
-            kids = [
-                visit(collapse(i), rest, probability * weights[i], {**outcomes, role: OUTCOMES[basis][i]})
-                for i in picks[:-1]
-            ]
-            return cumulative, total, tuple(kids + kids[-1:])
-        _, role, alphabet = step
-        kids = [visit(state, rest, probability / len(alphabet), {**outcomes, role: symbol}) for symbol in alphabet]
-        return None, len(kids), tuple(kids)
+            alphabet = OUTCOMES[basis]
+        else:  # a random step: n outcomes at 1/n that leave the state; for n = 2 or 4
+            # the running sums k/n are exact, so u in [k/n, (k+1)/n) takes symbol k
+            _, role, alphabet = step
+            probs, collapse = np.full(len(alphabet), 1 / len(alphabet)), lambda i: state
+        cumulative, total, picks = _born(probs)
+        weights = probs.tolist()
+        kids = [visit(collapse(i), rest, probability * weights[i], {**outcomes, role: alphabet[i]})
+                for i in picks[:-1]]
+        return cumulative, total, tuple(kids + kids[-1:])
 
     table = visit(state, schedule, 1.0, {})
     return branches, table
 
 
-def walk(table, rng) -> int:
-    """The leaf of a `schedule_branches` table or `_born` node drawn from
-    `rng` in time order: one `rng.random()` per measurement, which takes
-    the first kid whose cumulative probability exceeds the draw times the
-    total, one `rng.integers` per random step."""
+def schedule_depth(schedule) -> int:
+    """The uniforms a walk of the schedule's table takes: one per measurement or random step."""
+    return sum(step[0] != "gate" for step in schedule)
+
+
+def walk(table, draws) -> int:
+    """The leaf of a `schedule_branches` table or `_born` node that the
+    uniforms `draws` take, one per level in time order: at each node
+    (cumulative, total, kids), the first kid whose cumulative sum exceeds
+    the draw times the total.  A pure function of the table and the draws."""
     node = table
-    while type(node) is tuple:
+    for u in draws:
         cumulative, total, kids = node
-        if cumulative is None:
-            node = kids[rng.integers(total)]
-        else:
-            node = kids[bisect.bisect_right(cumulative, rng.random() * total)]
+        node = kids[bisect.bisect_right(cumulative, u * total)]
     return node
 
 
 def sample_schedule(state: StateVector, schedule, rng) -> tuple[dict, StateVector]:
     """The outcomes by role and the final state of the branch of
-    `schedule_branches(state, schedule)` that `walk` draws from `rng`."""
+    `schedule_branches(state, schedule)` that `walk` takes on one `rng.random(schedule_depth(schedule))`."""
     branches, table = schedule_branches(state, schedule)
-    _, outcomes, final = branches[walk(table, rng)]
+    _, outcomes, final = branches[walk(table, rng.random(schedule_depth(schedule)).tolist())]
     return outcomes, final

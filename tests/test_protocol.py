@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 from collections import Counter
 from fractions import Fraction
@@ -402,8 +403,10 @@ def replay_round(protocol, variant, bit, trent, generator, is_check_bit):
             _, role, basis, qubits = step
             outcomes[role], state = measure[basis](state, *qubits, generator)
         else:
+            # symbol k on a uniform in [k/n, (k+1)/n); 1.0, which no
+            # generator makes, takes the last, as the walk's pad does
             _, role, alphabet = step
-            outcomes[role] = alphabet[generator.integers(len(alphabet))]
+            outcomes[role] = alphabet[min(int(generator.random() * len(alphabet)), len(alphabet) - 1)]
     record = adversary.attack_record(outcomes)
     return RoundTranscript(
         protocol=protocol,
@@ -420,13 +423,25 @@ def replay_round(protocol, variant, bit, trent, generator, is_check_bit):
 
 class _Zeros:
     """Stands in for a generator whose every draw is 0: each measurement
-    takes its first possible outcome."""
+    or random step takes its first possible outcome."""
 
-    def random(self):
-        return 0.0
+    def random(self, size=None):
+        return 0.0 if size is None else np.zeros(size)
 
-    def integers(self, n):
-        return 0
+
+class _Recording:
+    """Stands in for a generator: forwards every call to a seeded one and
+    records it as (method name, arguments)."""
+
+    def __init__(self, seed):
+        self.generator, self.calls = rng(seed), []
+
+    def __getattr__(self, name):
+        def record(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return getattr(self.generator, name)(*args, **kwargs)
+
+        return record
 
 
 def message_branch(branches, t: RoundTranscript) -> int:
@@ -509,6 +524,22 @@ class TestRoundTree:
                 for _ in range(10):
                     run_round_statevector(protocol, variant, bit, TRENTS[name], generator, check)
 
+    def test_a_round_draws_its_depth_in_one_call(self):
+        # one uniform per measurement or random step, all in one
+        # `random(depth)` call: 2 for an honest round, 4 for an attacked one
+        for protocol, variant in ALL_COMBOS:
+            for name, trent in TRENTS.items():
+                depth = qsim.schedule_depth(schedule(protocol, trent))
+                assert depth == (2 if name == "honest" else 4)
+                for bit in (0, 1):
+                    recording = _Recording(bit)
+                    run_round_statevector(protocol, variant, bit, trent, recording)
+                    assert recording.calls == [("random", (depth,), {})], (protocol, variant, name)
+                    generator, advanced = rng(bit), rng(bit)
+                    run_round_statevector(protocol, variant, bit, trent, generator)
+                    advanced.random(depth)
+                    assert generator.bit_generator.state == advanced.bit_generator.state
+
     def test_every_sampler_draws_through_one_walk(self, monkeypatch):
         # qsim.walk is the only rule that turns draws into an outcome or a branch
         assert not hasattr(qsim, "_Born")
@@ -524,7 +555,7 @@ class TestRoundTree:
             sample(rng(0))  # builds the models before counting
         calls = []
         walk = qsim.walk
-        monkeypatch.setattr(qsim, "walk", lambda table, generator: calls.append(table) or walk(table, generator))
+        monkeypatch.setattr(qsim, "walk", lambda table, draws: calls.append(table) or walk(table, draws))
         for name, sample in samplers.items():
             calls.clear()
             sample(rng(1))
@@ -994,7 +1025,7 @@ def guide_edges(sums) -> list[float]:
 
 class _Uniforms:
     """Stands in for a generator: `random()` and `random(n)` hand out the
-    given uniforms in order."""
+    given uniforms in order, and raise IndexError when too few are left."""
 
     def __init__(self, values):
         self.values = list(values)
@@ -1002,39 +1033,20 @@ class _Uniforms:
     def random(self, size=None):
         if size is None:
             return self.values.pop(0)
+        if size > len(self.values):
+            raise IndexError(f"{size} draws asked, {len(self.values)} left")
         drawn, self.values = self.values[:size], self.values[size:]
         return np.array(drawn)
 
-    def integers(self, n):
-        # a random step's symbol from the next uniform, the last one for 1.0
-        return min(int(self.values.pop(0) * n), n - 1)
 
-
-
-def walked_shares(walk, denominator: int) -> dict:
-    """The share of draw sequences that take `walk` to each leaf, when
-    every draw is one of the midpoints (k + 1/2)/denominator.
-
-    `walk(draws)` reads its draws from a `_Uniforms`, so a random step
-    takes the symbol the midpoint falls on.  The sequences are enumerated
-    depth first: a walk that runs out of draws is run again with each
-    midpoint appended, and a leaf reached with every draw used weighs
-    denominator^-(draws used)."""
+def walked_shares(walk, denominator: int, depth: int) -> dict:
+    """The share of the `depth`-tuples of draws that take `walk` to each
+    leaf, when every draw is one of the midpoints (k + 1/2)/denominator:
+    `walk(draws)` is called once on each tuple, which weighs
+    denominator^-depth."""
     midpoints = [(k + 0.5) / denominator for k in range(denominator)]
-    shares = Counter()
-    prefixes = [[]]
-    while prefixes:
-        prefix = prefixes.pop()
-        draws = _Uniforms(prefix)
-        try:
-            leaf = walk(draws)
-        except IndexError:  # out of draws; no walk here is more than 4 deep
-            assert len(prefix) < 4, prefix
-            prefixes += [prefix + [u] for u in midpoints]
-            continue
-        assert draws.values == [], (prefix, leaf)
-        shares[leaf] += Fraction(1, denominator ** len(prefix))
-    return dict(shares)
+    shares = Counter(walk(draws) for draws in itertools.product(midpoints, repeat=depth))
+    return {leaf: Fraction(count, denominator**depth) for leaf, count in shares.items()}
 
 
 def snapped_probabilities(probabilities, denominator: int = 64) -> dict[int, Fraction]:
@@ -1106,7 +1118,8 @@ class TestExactDraws:
     def test_walk_tables_take_each_branch_for_its_share(self):
         for protocol, variant, bit, name in SAMPLER_CONFIGS:
             model = protocol_module._model(protocol, variant, TRENTS[name])
-            shares = walked_shares(functools.partial(qsim.walk, model.walks[bit]), 8)
+            table, depth = model.walks[bit]
+            shares = walked_shares(functools.partial(qsim.walk, table), 8, depth)
             exact = snapped_probabilities([b.probability for b in model.branches[bit]])
             assert shares == exact, (protocol, variant, bit, name)
 
@@ -1116,10 +1129,10 @@ class TestExactDraws:
             _, branches = round_distribution(protocol, variant, bit, trent)
 
             def branch(draws):
-                return message_branch(branches, run_round(protocol, variant, bit, trent, draws))
+                return message_branch(branches, run_round(protocol, variant, bit, trent, _Uniforms(draws)))
 
             exact = snapped_probabilities([b.probability for b in branches])
-            assert walked_shares(branch, 64) == exact, (protocol, variant, bit, name)
+            assert walked_shares(branch, 64, 1) == exact, (protocol, variant, bit, name)
 
     @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
     def test_run_session_takes_each_branch_for_its_share(self, protocol, variant):
@@ -1143,7 +1156,7 @@ class TestExactDraws:
         state = make_ghz() if start is None else qsim.make_state(np.eye(8)[start])
         branches, table = qsim.schedule_branches(state, steps)
         exact = snapped_probabilities([p for p, _, _ in branches], 256)
-        assert walked_shares(functools.partial(qsim.walk, table), 8) == exact
+        assert walked_shares(functools.partial(qsim.walk, table), 8, qsim.schedule_depth(steps)) == exact
         # the same branches and probabilities as the oracle's Born products
         psi = oracle.ghz() if start is None else np.eye(8, dtype=complex)[start]
         born = oracle.measure_chain(psi, [oracle_family(step) for step in steps])

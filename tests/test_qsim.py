@@ -443,14 +443,14 @@ class TestSchedules:
 
     def test_sampler_draws_in_time_order(self):
         # the walk of the schedule's table against the primitives stepped in
-        # time order: one rng.random() per measurement, one rng.integers per
-        # random step, and the same final amplitudes
+        # time order: one rng.random() per measurement, one per random step
+        # taking symbol int(u * n), and the same final amplitudes
         for seed in range(20):
             outcomes, state = qsim.sample_schedule(make_ghz(), self.SCHEDULE, rng(seed))
             generator = rng(seed)
             expected = apply_gate(make_ghz(), Gate.HADAMARD, 0)
             a, expected = measure_z(expected, 0, generator)
-            r = ("p", "q", "s")[generator.integers(3)]
+            r = ("p", "q", "s")[int(generator.random() * 3)]
             ab, expected = measure_bell(expected, 0, 2, generator)
             t, expected = measure_x(expected, 1, generator)
             assert outcomes == {"a": a, "r": r, "ab": ab, "t": t}
@@ -460,8 +460,8 @@ class TestSchedules:
         steps = (("measure", "a", "z", (0,)), ("random", "r", ("p", "q")))
         branches, table = qsim.schedule_branches(make_state([1, 0]), steps)
         # Z of |0>: ONE (probability 0.0) has no child, so ZERO's fills the
-        # pad; the random step has one leaf per symbol
-        random_step = (None, 2, (0, 1))
+        # pad; the random step is a node of two outcomes at 1/2, padded too
+        random_step = ((0.5, 1.0), 1.0, (0, 1, 1))
         assert table == ((1.0,), 1.0, (random_step, random_step))
         zero = ZOutcome.ZERO
         assert [(p, out) for p, out, _ in branches] == [(0.5, {"a": zero, "r": "p"}), (0.5, {"a": zero, "r": "q"})]
@@ -499,10 +499,44 @@ class TestSchedules:
         def leaves(node):
             if type(node) is not tuple:
                 return [node]
-            cumulative, _, kids = node
-            return [leaf for kid in kids[: None if cumulative is None else -1] for leaf in leaves(kid)]
+            return [leaf for kid in node[2][:-1] for leaf in leaves(kid)]
 
         assert leaves(table) == list(range(len(branches)))
+
+    def test_a_sample_draws_one_uniform_per_measurement_or_random_step(self):
+        # one `random(depth)` call; a gate-only schedule draws nothing
+        for steps, depth in ((self.SCHEDULE, 4), ((("gate", Gate.HADAMARD, 0),), 0)):
+            assert qsim.schedule_depth(steps) == depth
+            generator, advanced = rng(3), rng(3)
+            qsim.sample_schedule(make_ghz(), steps, generator)
+            advanced.random(depth)
+            assert generator.bit_generator.state == advanced.bit_generator.state
+        assert advanced.bit_generator.state == rng(3).bit_generator.state
+
+    @pytest.mark.parametrize("n", (2, 4))
+    def test_a_random_step_takes_symbol_k_from_k_over_n(self, n):
+        # the running sums k/n are exact for n = 2 and 4, so u = k/n takes
+        # symbol k and the float just below it symbol k - 1
+        branches, table = qsim.schedule_branches(make_ghz(), (("random", "r", tuple(range(n))),))
+        assert table == (tuple(k / n for k in range(1, n + 1)), 1.0, tuple(range(n)) + (n - 1,))
+
+        def symbol(u):
+            return branches[qsim.walk(table, (u,))][1]["r"]
+
+        assert symbol(0.0) == 0 and symbol(float(np.nextafter(1.0, 0.0))) == n - 1
+        for k in range(1, n):
+            assert symbol(k / n) == k
+            assert symbol(float(np.nextafter(k / n, 0.0))) == k - 1
+
+
+def test_one_random_call_draws_the_doubles_of_as_many_scalar_calls():
+    # `random(k)` gives the k doubles of k `random()` calls and leaves the
+    # same state: every state-vector pin without a random step rests on it
+    for seed in range(4):
+        for k in range(9):
+            batched, scalar = rng(seed), rng(seed)
+            assert batched.random(k).tolist() == [scalar.random() for _ in range(k)], pins.versions()
+            assert batched.bit_generator.state == scalar.bit_generator.state, pins.versions()
 
 
 SCHEDULE_PIN_SEED = 5
