@@ -12,15 +12,14 @@ derived from it.  Per (protocol, variant, bit, strategy) one pass of
 `qsim.schedule_branches` lists the round's exact branches and builds
 their walk table, and both bits make one cached model per (protocol,
 variant, strategy): per bit the walk table, its depth, the branches and
-a one-level walk table over them, which holds their cumulative
-probabilities (`round_distribution`); every transcript, four per branch
-(message or check round, decoded bit as measured or flipped by noise);
-and the outcome classes `harness.run_experiment` draws from.  The
+their running sums (`round_distribution`), exact multiples of 1/BUCKETS
+that end at exactly 1; every transcript, four per branch (message or
+check round, decoded bit as measured or flipped by noise); a lookup
+table; and the outcome classes `harness.run_experiment` draws from.  The
 samplers only draw a branch and pick its shared transcript by index:
-`run_round_statevector` walks the round's table and `run_round` the
-one-level one, both with `qsim.walk`; `run_session` reads all rounds'
-branches at once from a guide table over the one-level sums, cached in the
-model, which takes each uniform to the same branch without a search.
+`run_round_statevector` walks the round's table with `qsim.walk`, and
+`run_round` and `run_session` read their uniform's 1/BUCKETS bucket in
+the lookup table, with no search.
 `decode` reads Bob's rule off the honest branches, whose rows
 `harness.emit_tables` prints.
 
@@ -74,9 +73,10 @@ ENCODING_RULES = {
 }
 
 MAX_SESSION_ROUNDS = 10**8  # message plus check rounds in one session
-# buckets per bit of `run_session`'s guide table: a power of two, so u * K
-# is exact and so is every bucket edge j / K
-GUIDE_BUCKETS = 64
+# buckets per bit of the lookup table.  Each round is a Clifford circuit, so
+# its branch probabilities are multiples of 1/16 and no running sum falls
+# inside a bucket; a power of two, so u * BUCKETS and each edge j / BUCKETS are exact
+BUCKETS = 64
 
 @dataclass(frozen=True)
 class RoundTranscript:
@@ -251,12 +251,10 @@ class _Model(NamedTuple):
     exact branches of both bits; a "per bit" field is indexed by bit."""
 
     walks: tuple  # per bit: (the round's walk table, whose leaves are branch indices, its depth)
-    # per bit: the one-level walk table over the branches, (running sums of
-    # their probabilities, 1.0, branch indices padded with the last)
-    joint: tuple
-    # `run_session`'s guide table over both bits' running sums, as read-only
-    # arrays (guide, inner, first); see `_first_transcripts`
-    lookup: tuple
+    sums: tuple  # per bit: the running sums of its branch probabilities, the last exactly 1.0
+    # read-only: entry bit * BUCKETS + j is the first transcript of the
+    # branch that every uniform in [j / BUCKETS, (j + 1) / BUCKETS) takes
+    lookup: np.ndarray
     branches: tuple  # per bit: its RoundBranches, in `qsim.schedule_branches` order
     offset: tuple  # per bit: index of its first transcript
     # both bits' RoundTranscripts end to end in a read-only object array, each
@@ -270,29 +268,12 @@ class _Model(NamedTuple):
     classes: tuple
 
 
-def _guide_table(sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per bucket j of [0, 1), K = GUIDE_BUCKETS: the count of the
-    ascending `sums` at or below j / K, and the one sum strictly inside
-    (j / K, (j + 1) / K), or 2.0 when there is none.  Raises when a bucket
-    holds two sums, whose order one comparison could not tell."""
-    scaled = sums * GUIDE_BUCKETS
-    inside = (sums < 1.0) & (scaled != np.floor(scaled))
-    buckets = scaled[inside].astype(np.intp)
-    # ascending; not np.unique, whose first call imports numpy.ma (8 ms and 1.7 MiB, numpy 2.4)
-    if (buckets[1:] == buckets[:-1]).any():
-        raise AssertionError(f"two running sums share a 1/{GUIDE_BUCKETS} guide bucket")
-    inner = np.full(GUIDE_BUCKETS, 2.0)
-    inner[buckets] = sums[inside]
-    return np.searchsorted(sums, np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS, side="right"), inner
-
-
 @functools.cache
 def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy) -> _Model:
     """The configuration's record, cached per (protocol, variant, strategy);
-    raises unless each bit's branches sum to 1 and no open guide bucket
-    (j/K, (j+1)/K) holds two of a bit's running sums."""
-    walks, joint, branches, offset, transcripts = [], [], [], [], []
-    guide, inner, first = [], [], []
+    raises unless each Born probability lies within `qsim.ATOL` of a
+    multiple of 1/BUCKETS and each bit's snapped probabilities sum to 1."""
+    walks, sums, lookup, branches, offset, transcripts = [], [], [], [], [], []
     # (wrong, hit, z equal) -> [(probability, histogram label)] of its cells,
     # bit 0's cells first
     classes: dict[tuple[bool, bool, bool], list[tuple[float, str]]] = {}
@@ -300,7 +281,11 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         walked, table = _round_branches(protocol, variant, bit, trent)
         offset.append(len(transcripts))
         bit_branches = []
-        for p, outcomes, _ in walked:
+        for born, outcomes, _ in walked:
+            # the exact probability: the Born float differs from it by rounding only
+            p = round(born * BUCKETS) / BUCKETS
+            if abs(p - born) > qsim.ATOL:
+                raise AssertionError(f"branch probability {born} is not a multiple of 1/{BUCKETS}")
             announcement, measurement = outcomes["trent"], outcomes["bob"]
             record = adversary.attack_record(outcomes)
             decoded = decode(protocol, announcement, measurement)
@@ -317,19 +302,16 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
             z_equal = record is not None and record.z_outcome_a == record.z_outcome_t
             key = (decoded != bit, guess == bit, z_equal)
             classes.setdefault(key, []).append((0.5 * p, f"{announcement.name}/{measurement.name}"))
-        total = sum(b.probability for b in bit_branches)
-        if abs(total - 1.0) > 1e-9:
-            raise AssertionError(f"branch probabilities sum to {total}")
+        bit_sums = np.cumsum([b.probability for b in bit_branches])
+        if bit_sums[-1] != 1.0:
+            raise AssertionError(f"branch probabilities sum to {bit_sums[-1]}")
         walks.append((table, qsim.schedule_depth(schedule(protocol, trent))))
-        kids = tuple(range(len(bit_branches)))
-        joint.append((tuple(np.cumsum([b.probability for b in bit_branches])), 1.0, kids + kids[-1:]))
-        below, bit_inner = _guide_table(np.array(joint[-1][0]))
-        guide.append(len(first) + below)
-        inner.append(bit_inner)
-        first += [offset[-1] + 4 * kid for kid in kids + kids[-1:]]
+        sums.append(tuple(bit_sums.tolist()))
+        # a bucket holds no sum, so all its uniforms take its lower edge's branch
+        edges = np.arange(BUCKETS) / BUCKETS
+        lookup.append(offset[-1] + 4 * np.searchsorted(bit_sums, edges, side="right"))
         branches.append(tuple(bit_branches))
     wrong, hit, equal = (qsim._read_only(np.array(flags)) for flags in zip(*classes))
-    # the probabilities sum to 1 only up to rounding
     p_class = np.array([sum(p for p, _ in members) for members in classes.values()])
     cells = []
     for members in classes.values():
@@ -337,15 +319,14 @@ def _model(protocol: ProtocolId, variant: EncodingVariant, trent: TrentStrategy)
         cells.append((tuple(label for _, label in members), qsim._read_only(p_cell / p_cell.sum())))
     return _Model(
         walks=tuple(walks),
-        joint=tuple(joint),
-        lookup=(qsim._read_only(np.concatenate(guide)), qsim._read_only(np.concatenate(inner)),
-                qsim._read_only(np.array(first))),
+        sums=tuple(sums),
+        lookup=qsim._read_only(np.concatenate(lookup)),
         branches=tuple(branches),
         offset=tuple(offset),
         transcripts=qsim._read_only(np.array(transcripts, dtype=object)),
         check_error=qsim._read_only(
             np.array([t.is_check_bit and t.decoded_bit != t.sent_bit for t in transcripts])),
-        classes=(wrong, hit, equal, qsim._read_only(p_class / p_class.sum()), tuple(cells)),
+        classes=(wrong, hit, equal, qsim._read_only(p_class), tuple(cells)),
     )
 
 
@@ -372,12 +353,13 @@ def round_distribution(
     """Cumulative probabilities and branches of one round: one branch per
     leaf of the round's walk table.
 
-    Branch probabilities sum to 1 up to float rounding; the cumulative
-    tuple is the one `run_round` walks.
+    Branch probabilities are exact multiples of 1/BUCKETS and sum to
+    exactly 1; a uniform u takes the first branch whose cumulative sum
+    exceeds u, in `run_round` and `run_session` alike.
     """
     bit = _check_bit(bit)
     model = _checked_model(protocol, variant, trent)
-    return model.joint[bit][0], model.branches[bit]
+    return model.sums[bit], model.branches[bit]
 
 
 def run_round_statevector(
@@ -417,31 +399,18 @@ def run_round(
     """Execute one full round on a fresh GHZ triple.
 
     Samples the round's exact joint outcome distribution (see
-    `round_distribution`) with one `rng.random()`, walking the one-level
-    table over its branches with `qsim.walk`, and returns the branch's
-    shared transcript, the one `run_round_statevector` returns for it.
-    `run_round_statevector` walks the same branches on a uniform per
-    measurement or random step: the two are distributionally identical.
-    `run_session` samples a whole session at a fraction of this cost.
+    `round_distribution`; it sums to exactly 1) with one `rng.random()` u,
+    read in the model's lookup table at the bit's bucket floor(u * BUCKETS),
+    and returns the branch's shared transcript, the one
+    `run_round_statevector` returns for it.  `run_round_statevector`
+    walks the same branches on a uniform per measurement or random step:
+    the two are distributionally identical.  `run_session` samples a whole
+    session at a fraction of this cost.
     """
     bit = _check_bit(bit)
     model = _checked_model(protocol, variant, trent)
-    branch = qsim.walk(model.joint[bit], (rng.random(),))
-    return model.transcripts[model.offset[bit] + 4 * branch + 2 * bool(is_check_bit)]
-
-
-def _first_transcripts(lookup: tuple, bits: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Per round, the first transcript index of the branch `run_round`
-    takes on its uniform u in [0, 1) for its bit, from the model's guide
-    table (Chen and Asau's indexed search).  u lies in bucket jj = bit * K
-    + floor(u * K), K = GUIDE_BUCKETS, whose slot in `first` is `guide[jj]`
-    (past the bit's sums at or below the bucket's lower edge), plus one
-    when u reaches `inner[jj]`: `bisect_right`'s slot, since u * K is
-    exact.  jj is an np.intp, since K times an int8 bit could overflow."""
-    guide, inner, first = lookup
-    jj = np.multiply(bits, GUIDE_BUCKETS, dtype=np.intp)
-    jj += (uniforms * GUIDE_BUCKETS).astype(np.intp)
-    return first[guide[jj] + (uniforms >= inner[jj])]
+    first = model.lookup[bit * BUCKETS + int(rng.random() * BUCKETS)]
+    return model.transcripts[first + 2 * bool(is_check_bit)]
 
 
 def run_session(
@@ -457,8 +426,8 @@ def run_session(
 
     All rounds are sampled at once: one `rng.random(n)` for the n rounds'
     branches, each uniform taken to the branch `run_round` draws on it for
-    the round's bit by the model's guide table (`_first_transcripts`: one
-    bucket read and one comparison, no search); then, only when
+    the round's bit by one read of the model's lookup table, no search
+    (each bit's branch probabilities sum to exactly 1); then, only when
     `noise_probability` > 0, one `rng.random(n)` for the noise.  The
     configuration is checked before the first draw, so a rejected call
     leaves `rng` where it was.
@@ -472,7 +441,7 @@ def run_session(
     (a NaN, a bool) is rejected.  So is a plan without check rounds, which
     would pass unchecked, or whose fields are not 1-D arrays of one length
     with integer bits and bool check flags: integer flags would index
-    another's transcript, and the guide table reads integer bits only.
+    another's transcript, and the lookup table reads integer bits only.
     """
     if not (isinstance(plan.bits, np.ndarray) and isinstance(plan.is_check, np.ndarray)
             and plan.bits.ndim == plan.is_check.ndim == 1 and plan.bits.dtype.kind in "biu"
@@ -492,8 +461,11 @@ def run_session(
     n = plan.bits.size
     uniforms = rng.random(n)
     flipped = rng.random(n) < noise_probability if noise_probability > 0.0 else np.zeros(n, bool)
-    # Each round's index in the model's transcripts: its branch's first, then its role and flip.
-    index = _first_transcripts(model.lookup, plan.bits, uniforms) + 2 * plan.is_check + flipped
+    # Each round's bucket, an np.intp since BUCKETS times an int8 bit could overflow; then
+    # its index in the model's transcripts: its branch's first, then its role and flip.
+    bucket = np.multiply(plan.bits, BUCKETS, dtype=np.intp)
+    bucket += (uniforms * BUCKETS).astype(np.intp)
+    index = model.lookup[bucket] + 2 * plan.is_check + flipped
     transcripts = model.transcripts[index].tolist()
     error_rate = float(np.count_nonzero(model.check_error[index]) / np.count_nonzero(plan.is_check))
     abort = bool(error_rate > abort_threshold)

@@ -132,9 +132,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
-
     def _check_qubit(self, qubit: int) -> int:
         if not (type(qubit) is int or isinstance(qubit, (numbers.Integral, np.bool_))):
             raise ValueError(f"qubit must be an integer, got {qubit!r}")

@@ -133,7 +133,7 @@ class TestAttackP2:
                 policy=AnnouncementPolicy.GENUINE_MEASUREMENT,
             )
             assert isinstance(announcement, BellOutcome)
-            assert state.norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestHonestAnnouncement:

@@ -665,6 +665,7 @@ class TestReportPins:
         message = pins.versions()
         assert "numpy 2.4.6, Python 3.11.7" in message
         assert f"running numpy {np.__version__}, Python " in message
+        assert "test_generator_stream_holds" in message
 
     def test_every_configuration_matches_its_pinned_report_bytes(self):
         pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())

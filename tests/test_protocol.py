@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -540,16 +541,20 @@ class TestRoundTree:
                     advanced.random(depth)
                     assert generator.bit_generator.state == advanced.bit_generator.state
 
-    def test_every_sampler_draws_through_one_walk(self, monkeypatch):
-        # qsim.walk is the only rule that turns draws into an outcome or a branch
+    def test_samplers_draw_through_the_walk_or_the_lookup_table(self, monkeypatch):
+        # two rules turn draws into an outcome or a branch: qsim.walk, once per
+        # measurement or state-vector round, and the model's lookup table,
+        # read by run_round and run_session and by nothing else
         assert not hasattr(qsim, "_Born")
         state, trent = make_ghz(), TRENTS["attack"]
+        plan = SessionPlan.build([0, 1] * 10, 0.5, rng(0))
         samplers = {
             "measure_z": lambda generator: qsim.measure_z(state, 0, generator),
             "measure_x": lambda generator: qsim.measure_x(state, 1, generator),
             "measure_bell": lambda generator: qsim.measure_bell(state, 0, 2, generator),
-            "run_round": lambda generator: run_round(P1, ORIGINAL, 1, trent, generator),
             "run_round_statevector": lambda generator: run_round_statevector(P2, REVISED, 0, trent, generator),
+            "run_round": lambda generator: [run_round(P1, ORIGINAL, 1, trent, generator)],
+            "run_session": lambda generator: run_session(P1, ORIGINAL, plan, trent, generator)[0],
         }
         for sample in samplers.values():
             sample(rng(0))  # builds the models before counting
@@ -559,7 +564,15 @@ class TestRoundTree:
         for name, sample in samplers.items():
             calls.clear()
             sample(rng(1))
-            assert len(calls) == 1, name
+            assert len(calls) == (name not in ("run_round", "run_session")), name
+        # a lookup table that sends every bucket to bit 0's last transcript
+        model = protocol_module._model(P1, ORIGINAL, trent)
+        last = model.offset[1] - 4
+        rigged = model._replace(lookup=np.full(model.lookup.size, last))
+        monkeypatch.setattr(protocol_module, "_model", lambda *config: rigged)
+        for name in ("run_round", "run_session"):
+            got = samplers[name](rng(1))
+            assert {id(t) for t in got if not t.is_check_bit} == {id(model.transcripts[last])}, name
 
     def test_each_configuration_is_enumerated_once(self, monkeypatch):
         # the decode map, the table and both samplers read one enumeration
@@ -794,7 +807,7 @@ class TestRunSession:
             ([0, 1, 1], [True, False, False]),
             (np.zeros(3, np.int8), [True, False, False]),
             (np.zeros((1, 3), np.int8), np.array([[True, False, False]])),
-            # the guide lookup indexes with the bits: without the dtype check
+            # the lookup table is indexed with the bits: without the dtype check
             # these raised a UFuncTypeError from numpy
             (np.zeros(3), np.array([True, False, False])),
             (np.zeros(3, object), np.array([True, False, False])),
@@ -923,7 +936,9 @@ class TestRunSession:
         # the rate; the bits interleave, so each round reads its own bit's table
         plan = SessionPlan.build(rng(39).integers(0, 2, 200), 0.5, rng(40))
         edges = [u for bit in (0, 1) for u in round_distribution(protocol, variant, bit, trent)[0]]
-        edges += guide_edges(edges)
+        edges += table_edges(edges)
+        # each bit's last sum is exactly 1.0, past every uniform
+        edges = [u for u in edges if u < 1.0]
         assert len(edges) + 2 < plan.bits.size
         uniforms = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, rng(41).random(plan.bits.size)])
         uniforms = uniforms[: plan.bits.size]
@@ -945,37 +960,41 @@ class TestRunSession:
 
     @pytest.mark.parametrize("trent", TRENTS.values(), ids=list(TRENTS))
     @pytest.mark.parametrize("protocol,variant", ALL_COMBOS)
-    def test_guide_lookup_equals_a_search_of_the_sums(self, protocol, variant, trent):
-        # the search the guide table replaced, kept here as the oracle, on
-        # both sides of every running sum and bucket edge
+    def test_lookup_takes_a_uniform_where_a_search_of_the_exact_sums_does(self, protocol, variant, trent):
+        # the search the lookup table replaces, as the oracle, on both sides
+        # of every running sum and bucket edge, with sums from exact fractions
         model = protocol_module._model(protocol, variant, trent)
-        sums = [u for bit in (0, 1) for u in model.joint[bit][0]]
-        uniforms = np.array([0.0, np.nextafter(1.0, 0.0)] + sums + guide_edges(sums))
         for bit in (0, 1):
-            bit_sums, _, kids = model.joint[bit]
-            bits = np.full(uniforms.size, bit, dtype=np.int8)
-            got = protocol_module._first_transcripts(model.lookup, bits, uniforms)
-            expected = model.offset[bit] + 4 * np.array(kids)[np.searchsorted(bit_sums, uniforms, side="right")]
-            assert got.tolist() == expected.tolist(), bit
+            born = [p for p, _, _ in protocol_module._round_branches(protocol, variant, bit, trent)[0]]
+            exact = list(itertools.accumulate(Fraction(p).limit_denominator(64) for p in born))
+            sums = [float(u) for u in exact]
+            assert exact[-1] == 1 and model.sums[bit] == tuple(sums)
+            uniforms = np.array([0.0, np.nextafter(1.0, 0.0)] + sums + table_edges(sums))
+            uniforms = uniforms[uniforms < 1.0]
+            first = model.offset[bit] + 4 * np.searchsorted(sums, uniforms, side="right")
+            is_check = np.arange(uniforms.size) % 2 == 1
+            expected = model.transcripts[first + 2 * is_check].tolist()
+            got = [run_round(protocol, variant, bit, trent, _Uniforms([u]), is_check_bit=check)
+                   for u, check in zip(uniforms.tolist(), is_check.tolist())]
+            assert all(map(operator.is_, got, expected)), bit
+            plan = SessionPlan(bits=np.full(uniforms.size, bit, np.int8), is_check=is_check)
+            got, _, _ = run_session(protocol, variant, plan, trent, _Uniforms(uniforms))
+            assert all(map(operator.is_, got, expected)), bit
 
     @pytest.mark.parametrize(
-        "sums",
-        [[0.25, 0.5, 0.75, 1.0], [1 / 64, 0.5, 63 / 64, 1.0 + 2**-52], [0.1, 0.3, 0.6, 1.0 - 2**-53],
-         [2**-60, 1 / 64 + 2**-59, 0.5 - 2**-54, 0.5, 1.0 - 2**-10]],
-        ids=["on-edges", "edges-and-past-1", "inside", "at-both-ends-of-buckets"],
+        "probabilities,message",
+        [((1 / 3, 1 / 3, 1 / 6, 1 / 6), "not a multiple of 1/64"), ((0.25, 0.25, 0.25, 0.125), "sum to 0.875")],
+        ids=["a-third", "short-of-1"],
     )
-    def test_guide_table_equals_a_search_on_any_sums(self, sums):
-        # sums on bucket edges, as the protocol's own tables do not have
-        below, inner = protocol_module._guide_table(np.array(sums))
-        slots = (below, inner, np.arange(len(sums) + 1))
-        uniforms = np.array([0.0, np.nextafter(1.0, 0.0)] + [u for u in sums if u < 1.0] + guide_edges(sums))
-        uniforms = uniforms[uniforms < 1.0]
-        got = protocol_module._first_transcripts(slots, np.zeros(uniforms.size, np.int8), uniforms)
-        assert got.tolist() == np.searchsorted(sums, uniforms, side="right").tolist()
-
-    def test_guide_table_rejects_two_sums_in_one_bucket(self):
-        with pytest.raises(AssertionError, match="share a 1/64 guide bucket"):
-            protocol_module._guide_table(np.array([0.26, 0.261, 1.0]))
+    def test_model_rejects_inexact_branch_probabilities(self, monkeypatch, probabilities, message):
+        # the lookup table is exact only for multiples of 1/64 that sum to 1
+        honest = TRENTS["honest"]
+        branches, table = protocol_module._round_branches(P1, ORIGINAL, 0, honest)
+        assert len(branches) == len(probabilities)
+        rigged = [(p, outcomes, state) for p, (_, outcomes, state) in zip(probabilities, branches)]
+        monkeypatch.setattr(protocol_module, "_round_branches", lambda *args: (rigged, table))
+        with pytest.raises(AssertionError, match=message):
+            protocol_module._model.__wrapped__(P1, ORIGINAL, honest)
 
     def test_rejected_configuration_leaves_the_generator_untouched(self):
         plan = SessionPlan.build([0, 1] * 20, 0.5, rng())
@@ -1009,18 +1028,19 @@ class TestRunSession:
         for protocol, variant in ALL_COMBOS:
             for name, trent in TRENTS.items():
                 found = list(arrays(protocol_module._model(protocol, variant, trent)))
-                # transcripts, check_error, three lookup, four class and one cell array at least
-                assert len(found) >= 10
+                # transcripts, check_error, lookup, four class and one cell array at least
+                assert len(found) >= 8
                 assert not any(a.flags.writeable for a in found), (protocol, variant, name)
 
 
-def guide_edges(sums) -> list[float]:
-    """Uniforms beside the edges of a guide table over `sums`: the float on
-    either side of every sum, and every bucket edge j/K with the float just
-    below it."""
-    k = protocol_module.GUIDE_BUCKETS
+def table_edges(sums) -> list[float]:
+    """Uniforms beside the edges of the lookup table over `sums`, in
+    [0, 1): the float on either side of every sum, and every bucket edge
+    j/K with the float just below it."""
+    k = protocol_module.BUCKETS
     beside = [float(np.nextafter(u, toward)) for u in sums for toward in (0.0, 1.0)]
-    return beside + [u for j in range(k) for u in (j / k, float(np.nextafter(j / k, 0.0)))]
+    edges = [u for j in range(k) for u in (j / k, float(np.nextafter(j / k, 0.0)))]
+    return [u for u in beside + edges if 0.0 <= u < 1.0]
 
 
 class _Uniforms:

@@ -84,7 +84,7 @@ class TestStateVector:
         assert np.allclose(state.amplitudes, expected, atol=ATOL)
 
     def test_ghz_norm(self):
-        assert make_ghz().norm() == pytest.approx(1.0, abs=ATOL)
+        assert np.linalg.norm(make_ghz().amplitudes) == pytest.approx(1.0, abs=ATOL)
 
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -193,7 +193,7 @@ class TestApplyGate:
     @settings(max_examples=50, deadline=None)
     def test_unitarity_preserves_norm(self, state, gate):
         for q in range(state.num_qubits):
-            assert apply_gate(state, gate, q).norm() == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(apply_gate(state, gate, q).amplitudes) == pytest.approx(1.0, abs=1e-9)
 
     @given(random_states(), st.sampled_from([Gate.PAULI_X, Gate.PAULI_Z]))
     @settings(max_examples=50, deadline=None)
@@ -563,8 +563,9 @@ def schedule_digests() -> dict[str, str]:
     - `attack_p1/...`, `attack_p2/...`: seeded attack records,
       announcements and collapsed states, then the next draw.
 
-    tests/data/schedule_digests.json is this function's output, written
-    once and never regenerated."""
+    tests/data/schedule_digests.json is this function's output.  A key is
+    regenerated only when what it pins changes on purpose, and CHANGES.md
+    names each such key."""
     trents = {
         "honest": adversary.TrentStrategy.honest(),
         "attack": adversary.TrentStrategy.attack(),
