@@ -7,7 +7,6 @@ sampler also reads; its report keeps each session's counts in one array."""
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import time
@@ -102,19 +101,21 @@ class RunReport:
     session_counts: np.ndarray = field(compare=False, repr=False)
     wall_time: float = field(compare=False)
 
-    def _cells(self, errors: int, aborted: int, hits: int, z_equal: int) -> list:
-        """One `session_counts` row as its session's CSV cells."""
-        n_sessions = len(self.session_counts)
-        n_check, n_rounds = self.check_rounds // n_sessions, self.total_rounds // n_sessions
-        if self.trent_guess_accuracy is None:
-            return [errors / n_check, aborted, None, None]
-        return [errors / n_check, aborted, hits / n_rounds, z_equal / n_rounds]
+    def _columns(self) -> list[tuple[int | None, bool]]:
+        """Each CSV column's rule, in `session_counts` column order: the divisor that
+        makes its count a rate (None for the abort flag, printed as its 0 or 1) and
+        whether the report prints it; an honest one leaves Trent's, the last two, empty."""
+        n = len(self.session_counts)
+        attacked = self.trent_guess_accuracy is not None
+        n_check, n_rounds = self.check_rounds // n, self.total_rounds // n
+        return [(n_check, True), (None, True), (n_rounds, attacked), (n_rounds, attacked)]
 
     @functools.cached_property
     def sessions(self) -> tuple[SessionStats, ...]:
         """Each session's rates, built from `session_counts` on first read."""
-        cells = map(self._cells, *self.session_counts.T.tolist())
-        return tuple(SessionStats(e, bool(a), g, z) for e, a, g, z in cells)
+        columns = [counts if d is None else [c / d for c in counts] if printed else [None] * len(counts)
+                   for counts, (d, printed) in zip(self.session_counts.T.tolist(), self._columns())]
+        return tuple(SessionStats(e, bool(a), g, z) for e, a, g, z in zip(*columns))
 
     def to_json(self, include_timing: bool = False) -> str:
         """`schema_version`, then every field in declaration order except
@@ -131,23 +132,28 @@ class RunReport:
     def to_csv(self) -> str:
         """A header row, one `session_<i>` row per session, then a summary row.
 
-        The session rows are written column by column.  Each column of
-        `session_counts` is deduplicated on its own and `_cells` formats
-        its distinct values once.  All rows are then laid out in one array
-        of fixed-width byte records: `session_`, the index digits, each
-        column's cell picked through its inverse index, and a newline.
-        Records are NUL-padded; no cell holds a NUL, so dropping them all
-        leaves the CSV bytes, which are decoded once."""
+        The session rows are written column by column, by the rules of
+        `_columns`: each printed rate column is deduplicated and its
+        distinct rates formatted once, the 0 or 1 abort flag indexes
+        `_FLAG_CELLS`, and the unprinted columns' empty cells are one
+        constant written with the newline.  All rows are then laid out in
+        one array of fixed-width byte records: `session_`, the index digits,
+        each printed cell picked through its index, the empty cells and a
+        newline.  Records are NUL-padded; no cell holds a NUL, so dropping
+        them all leaves the CSV bytes, which are decoded once."""
         n = len(self.session_counts)
-        uniques, inverses = zip(*(np.unique(c, return_inverse=True) for c in self.session_counts.T))
-        # _cells takes a whole row, so each column's distinct values are
-        # cycled to the length of the longest and the surplus cells dropped
-        values = [u.tolist() for u in uniques]
-        cells = itertools.islice(map(self._cells, *map(itertools.cycle, values)), max(map(len, values)))
-        tables = [_cell_bytes(column[: len(v)]) for column, v in zip(zip(*cells), values)]
+        picked = []  # (cells, index into them) per printed column
+        for counts, (divisor, printed) in zip(self.session_counts.T, self._columns()):
+            if divisor is None:
+                picked.append((_FLAG_CELLS, counts))
+            elif printed:
+                unique, inverse = np.unique(counts, return_inverse=True)
+                picked.append((np.array([b"," + str(c / divisor).encode() for c in unique.tolist()]), inverse))
+        # the unprinted columns are the last ones
+        end = b"," * (len(self.session_counts.T) - len(picked)) + b"\n"
         digits = len(str(n - 1))
-        columns = [(str(k), table.dtype) for k, table in enumerate(tables)]
-        rows = np.zeros(n, [("prefix", "S8"), ("label", np.uint8, (digits,)), *columns, ("end", "S1")])
+        columns = [(str(k), cells.dtype) for k, (cells, _) in enumerate(picked)]
+        rows = np.zeros(n, [("prefix", "S8"), ("label", np.uint8, (digits,)), *columns, ("end", f"S{len(end)}")])
         rows["prefix"] = b"session_"
         for k in range(digits):
             # the k-th digit runs through 0-9 in runs of `power`; in the
@@ -157,17 +163,13 @@ class RunReport:
             rows["label"][:, k] = np.tile(cycle, n // len(cycle) + 1)[:n]
             if power > 1:
                 rows["label"][:power, k] = 0
-        for (name, _), table, inverse in zip(columns, tables, inverses):
-            rows[name] = table[inverse]
-        rows["end"] = b"\n"
+        for (name, _), (cells, index) in zip(columns, picked):
+            rows[name] = cells[index]
+        rows["end"] = end
         header = ["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"]
-        summary = [self.bob_error_rate, self.abort_fraction, self.trent_guess_accuracy,
-                   self.z_equal_fraction]
-        return (
-            _csv_row(header)
-            + rows.tobytes().translate(None, b"\0").decode("ascii")
-            + _csv_row(["summary", *summary])
-        )
+        summary = [self.bob_error_rate, self.abort_fraction, self.trent_guess_accuracy, self.z_equal_fraction]
+        body = rows.tobytes().translate(None, b"\0").decode("ascii")
+        return _csv_row(header) + body + _csv_row(["summary", *summary])
 
 
 _JSON_FIELDS = tuple(f.name for f in fields(RunReport) if f.name != "session_counts")
@@ -178,10 +180,7 @@ def _csv_row(cells: list) -> str:
     return ",".join("" if cell is None else str(cell) for cell in cells) + "\n"
 
 
-def _cell_bytes(cells) -> np.ndarray:
-    """Each cell as `,` and its text as `_csv_row` writes it, in one
-    bytes array whose width is the longest (shorter ones NUL-padded)."""
-    return np.array([b"," + (b"" if cell is None else str(cell).encode()) for cell in cells])
+_FLAG_CELLS = np.array([b",0", b",1"])  # the abort flag's cells, indexed by the flag
 
 
 _Z95 = 1.96  # two-sided 95% standard normal quantile
@@ -232,7 +231,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     # into a correct one.
     wrong_checks, q = counts[:, 1] @ wrong, config.noise_probability
     errors = wrong_checks - rng.binomial(wrong_checks, q) + rng.binomial(n_check - wrong_checks, q)
-    rounds = counts.sum(axis=1)
+    rounds = counts[:, 0] + counts[:, 1]
 
     histogram: Counter[str] = Counter()
     for (labels, p_cell), total in zip(cells, rounds.sum(axis=0).tolist()):
@@ -240,11 +239,11 @@ def run_experiment(config: RunConfig) -> RunReport:
             if count:
                 histogram[label] += count
 
-    n_rounds = n_message + n_check
-    aborted = errors / n_check > config.abort_threshold
-    session_counts = np.column_stack([errors, aborted, rounds @ hit, rounds @ equal])
+    session_counts = np.empty((config.rounds_repeat, 4), np.int64)
+    session_counts[:, 0], session_counts[:, 1] = errors, errors / n_check > config.abort_threshold
+    session_counts[:, 2], session_counts[:, 3] = rounds @ hit, rounds @ equal
     session_counts.setflags(write=False)
-    total_rounds, check_total = n_rounds * config.rounds_repeat, n_check * config.rounds_repeat
+    total_rounds, check_total = (n_message + n_check) * config.rounds_repeat, n_check * config.rounds_repeat
     check_errors, aborts, guess_hits, z_equal = session_counts.sum(axis=0).tolist()
     return RunReport(
         config=config.describe(),

@@ -432,19 +432,38 @@ class TestSessionFit:
 
 
 def reference_csv(report) -> str:
-    """`report.to_csv()` as one csv.writer call per row."""
+    """`report.to_csv()` as one csv.writer call per row.  Each session's
+    cells come from its `session_counts` row, the report's per-session
+    check and total rounds, and whether Trent attacked (his guess accuracy
+    is set), not from `report.sessions`."""
+    n = len(report.session_counts)
+    n_check, n_rounds = report.check_rounds // n, report.total_rounds // n
+    attacked = report.trent_guess_accuracy is not None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["row", "error_rate", "aborted", "guess_accuracy", "z_equal_fraction"])
-    for i, s in enumerate(report.sessions):
+    for i, (errors, aborted, hits, z_equal) in enumerate(report.session_counts.tolist()):
         writer.writerow(
-            [f"session_{i}", s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction]
+            [f"session_{i}", errors / n_check, aborted,
+             hits / n_rounds if attacked else None, z_equal / n_rounds if attacked else None]
         )
     writer.writerow(
         ["summary", report.bob_error_rate, report.abort_fraction, report.trent_guess_accuracy,
          report.z_equal_fraction]
     )
     return buf.getvalue()
+
+
+def sessions_csv(report) -> str:
+    """`reference_csv` with the session rows written from `report.sessions`."""
+    lines = reference_csv(report).splitlines(keepends=True)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, s in enumerate(report.sessions):
+        writer.writerow(
+            [f"session_{i}", s.error_rate, int(s.aborted), s.guess_accuracy, s.z_equal_fraction]
+        )
+    return lines[0] + buf.getvalue() + lines[-1]
 
 
 class TestCsv:
@@ -493,6 +512,55 @@ class TestCsv:
         digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
         assert digest == pinned.split()[0], pins.versions()
 
+    def test_honest_north_star_csv_matches_the_pinned_digest(self):
+        # tests/data/run_p2_honest_10k_sessions.sha256 is `sha256sum` of
+        # `qsdc run --protocol 2 --variant revised --trent honest --bits 100
+        # --repeat 10000 --noise 0.05 --seed 9 --format csv`: 10^4 sessions
+        # of 100 bits, labels of one to four digits, empty attack cells
+        pinned = (Path(__file__).parent / "data" / "run_p2_honest_10k_sessions.sha256").read_text()
+        report = run_experiment(
+            RunConfig(protocol=P2, variant=REVISED, message_length=100, seed=9, rounds_repeat=10000,
+                      noise_probability=0.05)
+        )
+        digest = hashlib.sha256(report.to_csv().encode()).hexdigest()
+        assert digest == pinned.split()[0], pins.versions()
+
+    @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
+    def test_only_printed_rate_columns_are_deduplicated(self, trent, monkeypatch):
+        report = run_experiment(
+            RunConfig(protocol=P2, trent=trent, message_length=100, seed=9, rounds_repeat=1000,
+                      noise_probability=0.01)
+        )
+        expected = reference_csv(report)
+        deduplicated = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            deduplicated.append(values)
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        assert report.to_csv() == expected
+        attacked = trent.kind is StrategyKind.ATTACK
+        assert len(deduplicated) == (3 if attacked else 1)
+        flags = report.session_counts[:, 1]
+        assert not any(np.shares_memory(values, flags) or np.array_equal(values, flags)
+                       for values in deduplicated)
+
+    @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
+    @pytest.mark.parametrize("threshold, noise, aborted", [(1.0, 0.05, "0"), (0.0, 0.5, "1")],
+                             ids=["none_abort", "all_abort"])
+    def test_uniform_abort_flags_match_the_writer(self, trent, threshold, noise, aborted):
+        report = run_experiment(
+            RunConfig(protocol=P1, variant=REVISED, trent=trent, message_length=30, seed=21,
+                      rounds_repeat=500, noise_probability=noise, abort_threshold=threshold)
+        )
+        rows = reference_csv(report).splitlines()[1:-1]
+        assert {row.split(",")[2] for row in rows} == {aborted}
+        assert report.abort_fraction == int(aborted)
+        assert report.to_csv() == reference_csv(report)
+        assert sessions_csv(report) == reference_csv(report)
+
     @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
     @pytest.mark.parametrize("sessions", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
     def test_labels_of_every_width_match_the_writer(self, sessions, trent):
@@ -534,6 +602,7 @@ class TestSessionCounts:
             (float, bool, attack_type, attack_type)
         }
         assert report.to_csv() == reference_csv(report)
+        assert sessions_csv(report) == reference_csv(report)
         assert sum(s.error_rate for s in sessions) / 200 == pytest.approx(report.bob_error_rate)
         assert sum(s.aborted for s in sessions) / 200 == report.abort_fraction
         if attacked:
