@@ -41,7 +41,7 @@ import numpy as np
 
 from . import adversary, qsim
 from .adversary import QUBIT_A, QUBIT_B, AnnouncementPolicy, TrentStrategy
-from .qsim import BellOutcome, Gate, StateVector, XOutcome, ZOutcome
+from .qsim import BellOutcome, Gate, StateVector, XOutcome, ZOutcome, check_index
 
 
 class ProtocolId(Enum):
@@ -159,17 +159,10 @@ class SessionPlan:
         return cls(bits=bits, is_check=is_check)
 
 
-def _check_bit(bit: int) -> int:
-    # the model's per-bit fields are pairs indexed by bit: -1 would read bit 1's
-    if not (type(bit) is int or isinstance(bit, (numbers.Integral, np.bool_))) or bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    return int(bit)
-
-
 def encode_bit(variant: EncodingVariant, bit: int, state: StateVector) -> StateVector:
     """Apply Alice's gate sequence for the bit to qubit A."""
     qsim.check_member("variant", variant, EncodingVariant)
-    bit = _check_bit(bit)
+    bit = check_index("bit", bit, 2)
     for gate in ENCODING_RULES[variant][bit]:
         state = qsim.apply_gate(state, gate, QUBIT_A)
     return state
@@ -357,7 +350,7 @@ def round_distribution(
     exactly 1; a uniform u takes the first branch whose cumulative sum
     exceeds u, in `run_round` and `run_session` alike.
     """
-    bit = _check_bit(bit)
+    bit = check_index("bit", bit, 2)
     model = _checked_model(protocol, variant, trent)
     return model.sums[bit], model.branches[bit]
 
@@ -381,7 +374,7 @@ def run_round_statevector(
     This is the reference `run_round` is checked against: the two differ
     only in how they draw the branch whose shared transcript they return.
     """
-    bit = _check_bit(bit)
+    bit = check_index("bit", bit, 2)
     model = _checked_model(protocol, variant, trent)
     table, depth = model.walks[bit]
     branch = qsim.walk(table, rng.random(depth).tolist())
@@ -407,7 +400,7 @@ def run_round(
     the two are distributionally identical.  `run_session` samples a whole
     session at a fraction of this cost.
     """
-    bit = _check_bit(bit)
+    bit = check_index("bit", bit, 2)
     model = _checked_model(protocol, variant, trent)
     first = model.lookup[bit * BUCKETS + int(rng.random() * BUCKETS)]
     return model.transcripts[first + 2 * bool(is_check_bit)]
@@ -443,6 +436,7 @@ def run_session(
     with integer bits and bool check flags: integer flags would index
     another's transcript, and the lookup table reads integer bits only.
     """
+    qsim.check_member("plan", plan, SessionPlan)
     if not (isinstance(plan.bits, np.ndarray) and isinstance(plan.is_check, np.ndarray)
             and plan.bits.ndim == plan.is_check.ndim == 1 and plan.bits.dtype.kind in "biu"
             and plan.is_check.dtype == bool):

@@ -111,6 +111,15 @@ def check_integer(name: str, value: int, low: int, high: int) -> int:
     return int(value)
 
 
+def check_index(name: str, value: int, size: int) -> int:
+    """`value` as a plain int; raises ValueError unless an integer in [0, size), a bool (numpy's too) as 0 or 1."""
+    if type(value) is int and 0 <= value < size:
+        return value
+    if not (isinstance(value, (numbers.Integral, np.bool_)) and 0 <= value < size):
+        raise ValueError(f"{name} must be an integer in [0, {size - 1}], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitudes over 1-3 qubits, copied on construction.
@@ -131,15 +140,6 @@ class StateVector:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-    def _check_qubit(self, qubit: int) -> int:
-        if not (type(qubit) is int or isinstance(qubit, (numbers.Integral, np.bool_))):
-            raise ValueError(f"qubit must be an integer, got {qubit!r}")
-        if not 0 <= qubit < self.num_qubits:
-            raise ValueError(
-                f"qubit index {qubit} out of range for {self.num_qubits}-qubit state"
-            )
-        return int(qubit)
 
 
 def make_state(amplitudes) -> StateVector:
@@ -168,15 +168,18 @@ def _gate_operator(num_qubits: int, gate: Gate, qubit: int) -> np.ndarray:
 
 def apply_gate(state: StateVector, gate: Gate, qubit: int) -> StateVector:
     """Apply a single-qubit gate on the given tensor factor."""
+    check_member("state", state, StateVector)
     check_member("gate", gate, Gate)
-    qubit = state._check_qubit(qubit)
     n = state.num_qubits
+    qubit = check_index("qubit", qubit, n)
     # Unitary application preserves the norm; skip re-validation.
     return _fast_state(n, _gate_operator(n, gate, qubit) @ state.amplitudes)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2, the phase-invariant overlap of two pure states."""
+    check_member("a", a, StateVector)
+    check_member("b", b, StateVector)
     if a.num_qubits != b.num_qubits:
         raise ValueError(
             f"qubit count mismatch: {a.num_qubits} vs {b.num_qubits}"
@@ -232,12 +235,13 @@ def _projectors(num_qubits: int, basis: str, qubits: tuple[int, ...]):
 def _project(state: StateVector, basis: str, qubits: tuple[int, ...]):
     """Born probability of every outcome of measuring `qubits` in `basis`,
     and `collapse`, from an outcome's index to its normalized post-state;
-    raises ValueError unless each measured qubit is in range and, for a
-    Bell measurement, the state has at least 2 qubits and the two differ."""
+    raises ValueError for a non-state, a qubit out of range, or a Bell
+    measurement of fewer than 2 qubits or of one qubit twice."""
+    check_member("state", state, StateVector)
     n = state.num_qubits
     if basis == "bell" and n < 2:
         raise ValueError("Bell measurement needs at least 2 qubits")
-    qubits = tuple([state._check_qubit(qubit) for qubit in qubits])
+    qubits = tuple([check_index("qubit", qubit, n) for qubit in qubits])
     if qubits[0] in qubits[1:]:
         raise ValueError(f"Bell measurement needs two distinct qubits, got {qubits[0]} twice")
     bras, kets = _projectors(n, basis, qubits)

@@ -51,6 +51,17 @@ def run_qsdc(argv, **kwargs) -> subprocess.CompletedProcess:
                           text=True, timeout=60, **kwargs)
 
 
+def assert_same_lines(text, expected, note=""):
+    """`text == expected` for two reports (str or bytes), failing at the
+    first line that differs: pytest's diff of two whole reports of 1000
+    sessions takes minutes, of two lines none."""
+    lines, expected_lines = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    for number, (line, expected_line) in enumerate(zip(lines, expected_lines), 1):
+        assert line == expected_line, f"line {number} differs {note}"
+    assert len(lines) == len(expected_lines), note
+    assert text == expected, note
+
+
 class TestRunConfig:
     def test_defaults_are_valid(self):
         RunConfig()
@@ -118,7 +129,7 @@ class TestRunConfig:
         config = RunConfig(message_length=integer(50), seed=integer(3), rounds_repeat=integer(2))
         assert type(config.seed) is int
         assert run_experiment(config).to_json() == run_experiment(plain).to_json()
-        assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
+        assert_same_lines(run_experiment(config).to_csv(), run_experiment(plain).to_csv())
 
     @pytest.mark.parametrize("real", [np.float32, Fraction], ids=["float32", "Fraction"])
     @pytest.mark.parametrize(
@@ -133,7 +144,7 @@ class TestRunConfig:
         config = RunConfig(**base, **{name: real(rate)})
         assert type(getattr(config, name)) is float
         assert run_experiment(config).to_json() == run_experiment(plain).to_json()
-        assert run_experiment(config).to_csv() == run_experiment(plain).to_csv()
+        assert_same_lines(run_experiment(config).to_csv(), run_experiment(plain).to_csv())
 
     @pytest.mark.parametrize("zero", [0, np.int64(0)], ids=["int", "int64"])
     def test_integer_rate_keeps_its_bytes(self, zero):
@@ -242,7 +253,7 @@ class TestDeterminism:
 
     def test_csv_also_deterministic(self):
         config = RunConfig(protocol=P1, variant=REVISED, message_length=300, seed=5)
-        assert run_experiment(config).to_csv() == run_experiment(config).to_csv()
+        assert_same_lines(run_experiment(config).to_csv(), run_experiment(config).to_csv())
 
     def test_csv_deterministic_with_repeats_and_noise(self):
         config = RunConfig(
@@ -255,7 +266,7 @@ class TestDeterminism:
             noise_probability=0.05,
         )
         first = run_experiment(config).to_csv()
-        assert first == run_experiment(config).to_csv()
+        assert_same_lines(first, run_experiment(config).to_csv())
         assert first.count("\nsession_") == 5
 
 
@@ -477,7 +488,7 @@ class TestCsv:
         assert len(rows) == 200
         assert {row.split(",")[2] for row in rows} == {"0", "1"}
         assert len({row.partition(",")[2] for row in rows}) < 200  # repeated rows
-        assert report.to_csv() == reference_csv(report)
+        assert_same_lines(report.to_csv(), reference_csv(report))
 
     def test_honest_csv_matches_the_writer(self):
         report = run_experiment(
@@ -486,7 +497,7 @@ class TestCsv:
         )
         text = reference_csv(report)
         assert "," * 2 + "\n" in text  # the empty attack cells
-        assert report.to_csv() == text
+        assert_same_lines(report.to_csv(), text)
 
     def test_many_repeated_rows_match_the_pinned_csv(self):
         # tests/data/run_p2_many_sessions.csv is the output of `qsdc run
@@ -497,7 +508,7 @@ class TestCsv:
             RunConfig(protocol=P2, message_length=100, seed=9, rounds_repeat=1000,
                       noise_probability=0.01)
         )
-        assert report.to_csv().encode() == pinned, pins.versions()
+        assert_same_lines(report.to_csv().encode(), pinned, pins.versions())
 
     def test_many_distinct_rows_match_the_pinned_digest(self):
         # tests/data/run_p1_attack_100k_sessions.sha256 is `sha256sum` of
@@ -540,7 +551,7 @@ class TestCsv:
             return unique(values, *args, **kwargs)
 
         monkeypatch.setattr(np, "unique", spy)
-        assert report.to_csv() == expected
+        assert_same_lines(report.to_csv(), expected)
         attacked = trent.kind is StrategyKind.ATTACK
         assert len(deduplicated) == (3 if attacked else 1)
         flags = report.session_counts[:, 1]
@@ -558,8 +569,8 @@ class TestCsv:
         rows = reference_csv(report).splitlines()[1:-1]
         assert {row.split(",")[2] for row in rows} == {aborted}
         assert report.abort_fraction == int(aborted)
-        assert report.to_csv() == reference_csv(report)
-        assert sessions_csv(report) == reference_csv(report)
+        assert_same_lines(report.to_csv(), reference_csv(report))
+        assert_same_lines(sessions_csv(report), reference_csv(report))
 
     @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
     @pytest.mark.parametrize("sessions", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
@@ -570,7 +581,7 @@ class TestCsv:
                       seed=sessions, rounds_repeat=sessions, noise_probability=0.1)
         )
         text = report.to_csv()
-        assert text == reference_csv(report)
+        assert_same_lines(text, reference_csv(report))
         assert text.count("summary,") == 1 and text.splitlines()[-1].startswith("summary,")
 
 
@@ -601,8 +612,8 @@ class TestSessionCounts:
         assert {tuple(map(type, dataclasses.astuple(s))) for s in sessions} == {
             (float, bool, attack_type, attack_type)
         }
-        assert report.to_csv() == reference_csv(report)
-        assert sessions_csv(report) == reference_csv(report)
+        assert_same_lines(report.to_csv(), reference_csv(report))
+        assert_same_lines(sessions_csv(report), reference_csv(report))
         assert sum(s.error_rate for s in sessions) / 200 == pytest.approx(report.bob_error_rate)
         assert sum(s.aborted for s in sessions) / 200 == report.abort_fraction
         if attacked:
@@ -833,7 +844,7 @@ class TestCli:
                 "--noise", "0.05", "--seed", "9"]
         assert cli.main(argv) == 0
         expected = (Path(__file__).parent / "data" / pinned).read_bytes()
-        assert capsys.readouterr().out.encode() == expected, pins.versions()
+        assert_same_lines(capsys.readouterr().out.encode(), expected, pins.versions())
 
     def test_run_without_flags_builds_the_default_config(self):
         args = cli.make_parser().parse_args(["run"])
@@ -935,11 +946,11 @@ class TestCli:
         long_run = ["run", "--protocol", "2", "--bits", "100", "--repeat", "1000", "--noise", "0.01",
                     "--seed", "9", "--format", "csv", "--out", str(out)]
         assert cli.main(long_run) == 0
-        assert out.read_bytes() == (DATA / "run_p2_many_sessions.csv").read_bytes()
+        assert_same_lines(out.read_bytes(), (DATA / "run_p2_many_sessions.csv").read_bytes())
         out.chmod(0o600)
         inode = out.stat().st_ino
         assert cli.main([*self.HONEST_P2_CSV, "--out", str(out)]) == 0
-        assert out.read_bytes() == (DATA / "run_p2_original_honest.csv").read_bytes()
+        assert_same_lines(out.read_bytes(), (DATA / "run_p2_original_honest.csv").read_bytes())
         assert out.stat().st_ino == inode
         assert out.stat().st_mode & 0o777 == 0o600
 
@@ -969,7 +980,7 @@ class TestCli:
         link.symlink_to(target.name)
         assert cli.main([*self.HONEST_P2_CSV, "--out", str(link)]) == 0
         assert link.is_symlink()
-        assert target.read_bytes() == (DATA / "run_p2_original_honest.csv").read_bytes()
+        assert_same_lines(target.read_bytes(), (DATA / "run_p2_original_honest.csv").read_bytes())
 
     @pytest.mark.skipif(not os.path.exists(os.devnull), reason=f"no {os.devnull}")
     def test_out_to_the_null_device(self, capsys):

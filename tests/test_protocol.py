@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import operator
+import re
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -84,10 +85,11 @@ class TestEncoding:
             encode_bit(ORIGINAL, 2, make_ghz())
         # the model is a pair indexed by bit: -1 would read bit 1's table
         for bit in (2, -1, 1.0):
-            with pytest.raises(ValueError, match="bit must be 0 or 1"):
+            message = rf"^bit must be an integer in \[0, 1\], got {re.escape(repr(bit))}$"
+            with pytest.raises(ValueError, match=message):
                 round_distribution(P1, REVISED, bit, TrentStrategy.honest())
             for sampler in (run_round, run_round_statevector):
-                with pytest.raises(ValueError, match="bit must be 0 or 1"):
+                with pytest.raises(ValueError, match=message):
                     sampler(P1, REVISED, bit, TrentStrategy.honest(), rng())
 
 
