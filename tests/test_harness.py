@@ -715,14 +715,18 @@ PIN_SHAPES = {"1x997": (997, 1), "7x37": (37, 7)}
 PIN_SEEDS = (9, 10)
 
 
-def report_digests() -> dict[str, str]:
+# each pinned digest file and the noise its reports were run at
+DIGEST_PINS = {"report_digests.json": 0.05, "report_digests_noiseless.json": 0.0}
+
+
+def report_digests(noise: float = 0.05) -> dict[str, str]:
     """sha256 of the JSON and CSV report of every (protocol, variant,
-    Trent) configuration in both pinned shapes and seeds, at noise 0.05
+    Trent) configuration in both pinned shapes and seeds, at noise `noise`
     and check fraction 0.3, keyed protocol/variant/trent/shape/seed/format.
 
-    tests/data/report_digests.json is this function's output, written
-    once and never regenerated: only a deliberate report change (one that
-    bumps SCHEMA_VERSION) may rewrite it."""
+    Each file of DIGEST_PINS is this function's output at its noise,
+    written once and never regenerated: only a deliberate report change
+    (one that bumps SCHEMA_VERSION) may rewrite it."""
     digests = {}
     for p in ProtocolId:
         for v in EncodingVariant:
@@ -731,7 +735,7 @@ def report_digests() -> dict[str, str]:
                     for seed in PIN_SEEDS:
                         report = run_experiment(RunConfig(
                             protocol=p, variant=v, trent=trent, message_length=bits,
-                            rounds_repeat=sessions, noise_probability=0.05,
+                            rounds_repeat=sessions, noise_probability=noise,
                             check_fraction=0.3, seed=seed,
                         ))
                         key = f"p{p.value}/{v.value}/{name}/{shape}/{seed}"
@@ -747,12 +751,20 @@ class TestReportPins:
         assert f"running numpy {np.__version__}, Python " in message
         assert "test_generator_stream_holds" in message
 
-    def test_every_configuration_matches_its_pinned_report_bytes(self):
-        pinned = json.loads((Path(__file__).parent / "data" / "report_digests.json").read_text())
+    @staticmethod
+    def assert_digests_hold(pin):
+        pinned = json.loads((Path(__file__).parent / "data" / pin).read_text())
         assert len(pinned) == 2 * 2 * 4 * 2 * 2 * 2
-        digests = report_digests()
+        digests = report_digests(DIGEST_PINS[pin])
         assert [key for key in pinned if digests[key] != pinned[key]] == [], pins.versions()
         assert digests == pinned, pins.versions()
+
+    def test_every_configuration_matches_its_pinned_report_bytes(self):
+        self.assert_digests_hold("report_digests.json")
+
+    def test_every_configuration_matches_its_pinned_noiseless_report_bytes(self):
+        # noise 0 takes run_experiment's path without flip draws
+        self.assert_digests_hold("report_digests_noiseless.json")
 
 
 class TestBinomialInterval:
@@ -845,6 +857,16 @@ class TestCli:
         assert cli.main(argv) == 0
         expected = (Path(__file__).parent / "data" / pinned).read_bytes()
         assert_same_lines(capsys.readouterr().out.encode(), expected, pins.versions())
+
+    def test_noiseless_long_session_matches_the_pinned_report(self, tmp_path):
+        # tests/data/run_p1_attack_noiseless.json is the benchmark's
+        # long_session shape: one attacked session of 10^5 bits at noise 0
+        out = tmp_path / "report.json"
+        argv = ["run", "--protocol", "1", "--trent", "attack", "--bits", "100000",
+                "--format", "json", "--seed", "9", "--out", str(out)]
+        assert cli.main(argv) == 0
+        expected = (Path(__file__).parent / "data" / "run_p1_attack_noiseless.json").read_bytes()
+        assert_same_lines(out.read_bytes(), expected, pins.versions())
 
     def test_run_without_flags_builds_the_default_config(self):
         args = cli.make_parser().parse_args(["run"])
