@@ -7,11 +7,11 @@ sampler also reads; its report keeps each session's counts in one array."""
 from __future__ import annotations
 
 import functools
-import json
 import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -121,13 +121,14 @@ class RunReport:
         """`schema_version`, then every field in declaration order except
         `session_counts`, which only the CSV holds; the histogram is
         key-sorted.  `wall_time` is left out unless `include_timing`, so
-        that identical configs produce byte-identical reports."""
+        that identical configs produce byte-identical reports.  `_json_text`
+        writes the bytes `json.dumps(payload, indent=2)` gives, directly."""
         payload = {"schema_version": SCHEMA_VERSION}
         payload.update((name, getattr(self, name)) for name in _JSON_FIELDS)
         payload["histogram"] = dict(sorted(self.histogram.items()))
         if not include_timing:
             del payload["wall_time"]
-        return json.dumps(payload, indent=2) + "\n"
+        return _json_text(payload, "\n") + "\n"
 
     def to_csv(self) -> str:
         """A header row, one `session_<i>` row per session, then a summary row.
@@ -175,6 +176,28 @@ class RunReport:
 _JSON_FIELDS = tuple(f.name for f in fields(RunReport) if f.name != "session_counts")
 
 
+def _json_text(value, newline: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, nested at the indent
+    that `newline` (a newline and that indent) carries: a finite float, `str`,
+    `None`, `bool`, `int`, a dict with `str` keys, a list or a tuple."""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    items = [_json_text(item, inner) for item in value]
+    return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+
+
 def _csv_row(cells: list) -> str:
     """`cells` as one CSV line: `None` an empty cell, any other `str(cell)`; none needs quotes."""
     return ",".join("" if cell is None else str(cell) for cell in cells) + "\n"
@@ -213,7 +236,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     the outcome classes of the configuration's model (`protocol._model`).
     One generator seeded with `config.seed` draws every session's message
     and check class counts (one multinomial), the flips of their wrong and
-    correct check counts (two binomials), then the histogram (one
+    correct check counts (two binomials, skipped at zero noise, where they
+    could flip nothing and draw nothing), then the histogram (one
     multinomial per class over its cells: given its class, a round's cell
     is independent of its session and flips).  No round, message,
     `SessionPlan` or `SessionStats` is made.  Same config, same report bytes.
@@ -228,9 +252,12 @@ def run_experiment(config: RunConfig) -> RunReport:
     # counts[session][role][class]; role 0 = message, 1 = check
     counts = rng.multinomial([n_message, n_check], p_class, (config.rounds_repeat, 2))
     # A flip turns a correct check round into an error and a wrong one
-    # into a correct one.
+    # into a correct one.  At q = 0 numpy's binomials return 0 without
+    # drawing, so skipping them keeps the stream and the report.
     wrong_checks, q = counts[:, 1] @ wrong, config.noise_probability
-    errors = wrong_checks - rng.binomial(wrong_checks, q) + rng.binomial(n_check - wrong_checks, q)
+    errors = wrong_checks
+    if q > 0:
+        errors = wrong_checks - rng.binomial(wrong_checks, q) + rng.binomial(n_check - wrong_checks, q)
     rounds = counts[:, 0] + counts[:, 1]
 
     histogram: Counter[str] = Counter()

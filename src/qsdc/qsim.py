@@ -318,6 +318,7 @@ def schedule_branches(state: StateVector, schedule) -> tuple[list[tuple[float, d
     that outcome, and a random step over n symbols is the node of n
     outcomes at 1/n; a leaf is its branch's index in `branches`.
     """
+    check_member("state", state, StateVector)
     branches = []
 
     def visit(state, steps, probability, outcomes):

@@ -32,6 +32,7 @@ HONEST = TrentStrategy.honest()
 GHZ = make_ghz()
 STEPS = schedule(P1, TrentStrategy.attack())
 H = Gate.HADAMARD
+RANDOM = ("random", "r", ("a", "b"))
 
 # (case, the name a rejection gives, the argument's class or index range,
 # call with the argument set to v)
@@ -45,6 +46,11 @@ ARGUMENTS = [
     ("fidelity-b", "b", StateVector, lambda v, rng: qsim.fidelity(GHZ, v)),
     ("schedule_branches", "state", StateVector, lambda v, rng: qsim.schedule_branches(v, STEPS)),
     ("sample_schedule", "state", StateVector, lambda v, rng: qsim.sample_schedule(v, STEPS, rng)),
+    # schedules with no gate or measurement step, which reach no other state check
+    ("schedule_branches-empty", "state", StateVector, lambda v, rng: qsim.schedule_branches(v, ())),
+    ("schedule_branches-random", "state", StateVector, lambda v, rng: qsim.schedule_branches(v, (RANDOM,))),
+    ("sample_schedule-empty", "state", StateVector, lambda v, rng: qsim.sample_schedule(v, (), rng)),
+    ("sample_schedule-random", "state", StateVector, lambda v, rng: qsim.sample_schedule(v, (RANDOM,), rng)),
     ("encode_bit", "state", StateVector, lambda v, rng: encode_bit(REVISED, 0, v)),
     ("attack_p1", "state", StateVector, lambda v, rng: adversary.attack_p1(v, rng)),
     ("attack_p2", "state", StateVector, lambda v, rng: adversary.attack_p2(v, rng)),

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracle
 import pins
@@ -642,6 +644,92 @@ class TestSessionCounts:
         wall_time = timed.pop("wall_time")
         assert type(wall_time) is float and wall_time >= 0.0
         assert timed == default
+
+
+# what a report holds, at the edges of json's float and string writing:
+# the shortest repr, a subnormal, exponent notation, escapes and non-ASCII
+JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 0.1])
+JSON_TEXT = st.text() | st.sampled_from(['"', "\\", 'a"b\\c', "é", "ψ\n", "\u2028", "\x00", "😀"])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63, 2**200) | JSON_FLOATS | JSON_TEXT,
+    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example({"empty": {}, "nested": [[], {"k": [1, (2.5, None)]}], "flags": (True, False)})
+    @settings(max_examples=300, deadline=None)
+    def test_writer_gives_the_bytes_of_json_dumps(self, value):
+        assert harness._json_text(value, "\n") == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("trent", [TrentStrategy.honest(), TrentStrategy.attack()], ids=["honest", "attack"])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_timed_report_is_json_dumps_of_its_payload(self, trent, noise, monkeypatch):
+        report = run_experiment(RunConfig(protocol=P2, trent=trent, message_length=50, seed=4,
+                                          rounds_repeat=3, noise_probability=noise))
+        payload = {"schema_version": harness.SCHEMA_VERSION}
+        payload.update((f.name, getattr(report, f.name)) for f in dataclasses.fields(report)
+                       if f.name != "session_counts")
+        payload["histogram"] = dict(sorted(report.histogram.items()))
+        expected = json.dumps(payload, indent=2) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("to_json called json.dumps")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert report.to_json(include_timing=True) == expected
+
+
+class CountingRng:
+    """A generator that counts its `binomial` calls and draws as `rng` does."""
+
+    def __init__(self, rng):
+        self.rng, self.binomials = rng, 0
+
+    def binomial(self, *args):
+        self.binomials += 1
+        return self.rng.binomial(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class TestNoiseDraws:
+    @pytest.mark.parametrize("noise, binomials", [(0.0, 0), (1e-9, 2), (0.05, 2), (1.0, 2)])
+    def test_flips_are_drawn_only_with_noise(self, noise, binomials, monkeypatch):
+        config = RunConfig(protocol=P1, trent=TrentStrategy.attack(), message_length=80, seed=6,
+                           rounds_repeat=20, noise_probability=noise)
+        expected = run_experiment(config).to_csv()
+        rngs = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            rngs.append(CountingRng(default_rng(seed)))
+            return rngs[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        assert run_experiment(config).to_csv() == expected
+        assert [rng.binomials for rng in rngs] == [binomials]
+
+    @pytest.mark.parametrize("counts", [0, 7, 10**6, [0, 3, 50, 7000, 10**5]], ids=repr)
+    def test_binomial_at_zero_probability_draws_nothing(self, counts):
+        # run_experiment skips the flips at noise 0 on this numpy behaviour:
+        # the skipped call would return zeros and leave the stream where it is
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        assert np.array_equal(rng.binomial(counts, 0.0), np.zeros_like(counts))
+        assert rng.bit_generator.state == before, pins.versions()
+
+    def test_one_flip_probability_flips_every_check(self):
+        # q = 1 turns each wrong check correct and each correct one wrong
+        config = RunConfig(protocol=P1, trent=TrentStrategy.attack(), message_length=80, seed=6,
+                           rounds_repeat=20)
+        clean = run_experiment(config).session_counts[:, 0]
+        flipped = run_experiment(dataclasses.replace(config, noise_probability=1.0)).session_counts[:, 0]
+        assert np.array_equal(clean + flipped, np.full(20, check_round_count(80, 0.5)))
 
 
 class TestBitCounts:
